@@ -1,16 +1,16 @@
 """White-box L-infinity attacks on the first point cloud of a scene pair.
 
-FGSM-SF takes one signed-gradient step of size eps; PGD-SF iterates
-smaller signed steps and projects back onto the eps box around the clean
-cloud after every step.  A random-perturbation baseline completes the
-set.  Perturbations can target either position axes or color channels,
-restricted to any subset via a target mask; the ground-truth flow is
-never adjusted.
+PGD-SF iterates signed-gradient steps and projects back onto the eps box
+around the clean cloud after every step.  FGSM-SF is PGD's single step,
+of size eps from the clean cloud.  A random-perturbation baseline
+completes the set.  Perturbations can target either position axes or
+color channels, restricted to any subset via a target mask; the
+ground-truth flow is never adjusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -172,23 +172,21 @@ def _result(pair: ScenePair, cfg: AttackConfig, est: Optional[Estimator],
 
 
 def fgsm_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig) -> AttackResult:
-    """One-step signed-gradient attack: delta = eps * sign(grad), sign(0)=0."""
-    cfg.mask.check(pair)
-    pos, col, base = _domain_values(pair, cfg)
-    loss_before, grad = _masked_grad(pair, est, cfg, pos, col)
-    adv = base + cfg.eps * np.sign(grad)
-    if cfg.mask.domain == "colors" and cfg.clamp_colors:
-        adv = np.clip(adv, 0.0, 1.0)
-    return _result(pair, cfg, est, adv, loss_before, iters_run=1)
+    """One-step signed-gradient attack: delta = eps * sign(grad), sign(0)=0.
+
+    This is pgd_sf's single step; cfg.iters, alpha and random_start are ignored.
+    """
+    return pgd_sf(pair, est, replace(cfg, iters=1, alpha=cfg.eps, random_start=False))
 
 
 def pgd_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
            seed: int = 0) -> AttackResult:
     """Iterated signed-gradient ascent projected onto the eps box around pc1.
 
-    At iters=1, alpha=eps, no random start this reduces to fgsm_sf exactly.
-    The gradient (and any hard neighbor selection inside the estimator) is
-    recomputed from the current iterate at every step.
+    At iters=1, alpha=eps and no random start this is FGSM; fgsm_sf calls
+    it with those settings.  The gradient (and any hard neighbor selection
+    inside the estimator) is recomputed from the current iterate at every
+    step.
     """
     cfg.mask.check(pair)
     pos, col, base = _domain_values(pair, cfg)

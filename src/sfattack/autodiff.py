@@ -4,9 +4,10 @@ A Graph is a tape: operations append nodes in topological order, and
 backward() sweeps the tape once in reverse.  Tensors are thin handles
 around numpy arrays; a tensor either lives on a graph (tracked) or is a
 plain constant.  The primitive set is deliberately small: elementwise
-add/sub/mul, scalar-mul, matmul, exp, log, sqrt, relu, sum, mean,
-row-sum, broadcast, concat, gather-rows, rowwise L2 norm, and pairwise
-squared distances.
+add/sub/mul, scalar-mul, matmul, exp, log, relu, sum, mean, row-sum,
+concat, gather-rows, rowwise L2 norm, and pairwise squared distances.
+Only add, sub and mul broadcast: a scalar, (1,1), (1,M), (M,) or (N,1)
+operand meets an (N,M) one, and its gradient is summed back to its shape.
 """
 
 from __future__ import annotations
@@ -78,32 +79,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         tracked = "" if self.graph is None else f", node={self.node_id}"
         return f"Tensor(shape={self.data.shape}{tracked})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return smul(self, other)
-        return mul(self, other)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return smul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_array(data) -> np.ndarray:
@@ -223,20 +201,6 @@ def log(a) -> Tensor:
     return _emit("log", (a,), np.log(va), lambda g: (g / va,))
 
 
-def sqrt(a) -> Tensor:
-    a = _coerce(a)
-    if np.any(a.data < 0.0):
-        raise DomainError("sqrt requires non-negative input")
-    value = np.sqrt(a.data)
-
-    def vjp(g):
-        # subgradient 0 at exactly-zero input, same convention as rownorm
-        safe = np.where(value > 0.0, value, 1.0)
-        return (np.where(value > 0.0, np.asarray(g) / (2.0 * safe), 0.0),)
-
-    return _emit("sqrt", (a,), value, vjp)
-
-
 def relu(a) -> Tensor:
     a = _coerce(a)
     va = a.data
@@ -267,46 +231,9 @@ def row_sum(a) -> Tensor:
     a = _coerce(a)
     if a.data.ndim != 2:
         raise ShapeError("row-sum expects a matrix")
-    n, m = a.shape
-    return _emit("row-sum", (a,), a.data.sum(axis=1),
-                 lambda g: (np.repeat(g[:, None], m, axis=1),))
-
-
-def broadcast(a, shape, axis: Optional[int] = None) -> Tensor:
-    """Expand a scalar, row, or column vector to the given matrix shape.
-
-    axis is the expanded axis: 0 replicates a row of length M down N rows,
-    1 replicates a column of length N across M columns.  Scalars ignore it.
-    """
-    a = _coerce(a)
-    shape = tuple(shape)
-    src = a.shape
-    if src == shape:
-        value = a.data.copy()
-        return _emit("broadcast", (a,), value, lambda g: (g,))
-    if src in ((), (1,), (1, 1)):
-        value = np.full(shape, float(a.data.reshape(())))
-        return _emit("broadcast", (a,), value,
-                     lambda g: (np.asarray(g.sum()).reshape(src),))
-    if len(shape) != 2:
-        raise ShapeError(f"broadcast target must be a matrix, got {shape}")
-    n, m = shape
-    if axis is None:
-        if src in ((m,), (1, m)) and n != m:
-            axis = 0
-        elif src in ((n,), (n, 1)) and n != m:
-            axis = 1
-        else:
-            raise ShapeError(f"ambiguous broadcast {src} -> {shape}, pass axis")
-    if axis == 0 and src in ((m,), (1, m)):
-        value = np.broadcast_to(a.data.reshape(1, m), shape).copy()
-        return _emit("broadcast", (a,), value,
-                     lambda g: (g.sum(axis=0).reshape(src),))
-    if axis == 1 and src in ((n,), (n, 1)):
-        value = np.broadcast_to(a.data.reshape(n, 1), shape).copy()
-        return _emit("broadcast", (a,), value,
-                     lambda g: (g.sum(axis=1).reshape(src),))
-    raise ShapeError(f"cannot broadcast {src} -> {shape} along axis {axis}")
+    m = a.shape[1]
+    return _emit("row-sum", (a,), a.data.sum(axis=1, keepdims=True),
+                 lambda g: (np.repeat(g, m, axis=1),))
 
 
 def concat(a, b, axis: int = 0) -> Tensor:
@@ -379,34 +306,6 @@ def pairwise_sqdist(a, b) -> Tensor:
         return ga, gb
 
     return _emit("pairwise-sqdist", (a, b), value, vjp)
-
-
-_PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scalar-mul": smul,
-    "matmul": matmul,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "relu": relu,
-    "sum": tsum,
-    "mean": tmean,
-    "row-sum": row_sum,
-    "broadcast": broadcast,
-    "concat": concat,
-    "gather-rows": gather_rows,
-    "rowwise-L2-norm": rownorm,
-    "pairwise-sqdist": pairwise_sqdist,
-}
-
-
-def primitive_forward(op: str, inputs: Sequence, attrs: Optional[dict] = None) -> Tensor:
-    """Dispatch a primitive by tag; records a node when inputs are tracked."""
-    if op not in _PRIMITIVES:
-        raise KeyError(f"unknown primitive {op!r}")
-    return _PRIMITIVES[op](*inputs, **(attrs or {}))
 
 
 def backward(root: Tensor) -> dict[int, np.ndarray]:

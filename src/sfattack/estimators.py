@@ -65,7 +65,7 @@ def median_scale(cost: Tensor) -> Tensor:
     if not isinstance(cost, Tensor):
         cost = constant(cost)
     vals = cost.data
-    n, m = vals.shape
+    m = vals.shape[1]
     order = np.argsort(vals, axis=None, kind="stable")
     r, c = divmod(int(order[(vals.size - 1) // 2]), m)
     if vals[r, c] <= 1e-300:
@@ -74,8 +74,7 @@ def median_scale(cost: Tensor) -> Tensor:
     onehot = np.zeros((m, 1))
     onehot[c, 0] = 1.0
     med = ad.matmul(row, constant(onehot))                # (1, 1)
-    inv = ad.exp(ad.smul(ad.log(med), -1.0))
-    return ad.mul(cost, ad.broadcast(inv, (n, m)))
+    return ad.mul(cost, _recip(med))
 
 
 def sinkhorn(cost, reg: float, iters: int) -> Tensor:
@@ -99,15 +98,15 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
     ones_row = constant(np.ones((1, n)))
     k = ad.exp(ad.smul(median_scale(cost), -1.0 / reg))
     for _ in range(iters):
-        r = ad.row_sum(k)                                  # (n,)
+        r = ad.row_sum(k)                                  # (n, 1)
         _check_marginal(r.data, "row")
-        k = ad.smul(ad.mul(k, ad.broadcast(_recip(r), (n, m), axis=1)), 1.0 / n)
+        k = ad.smul(ad.mul(k, _recip(r)), 1.0 / n)
         c = ad.matmul(ones_row, k)                         # (1, m)
         _check_marginal(c.data, "column")
-        k = ad.smul(ad.mul(k, ad.broadcast(_recip(c), (n, m), axis=0)), 1.0 / m)
+        k = ad.smul(ad.mul(k, _recip(c)), 1.0 / m)
     r = ad.row_sum(k)
     _check_marginal(r.data, "row")
-    return ad.mul(k, ad.broadcast(_recip(r), (n, m), axis=1))
+    return ad.mul(k, _recip(r))
 
 
 def _check_marginal(v: np.ndarray, which: str) -> None:
@@ -303,14 +302,14 @@ def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
     e2 = encode(f2)                                       # (M, 32)
 
     idx = knn_indices(pos1.data, pair.pc2.positions, k_neighbors)
-    n, k = idx.shape
+    k = idx.shape[1]
 
     neigh_feats = []
     logits = []
     for j in range(k):
         f2j = ad.gather_rows(e2, idx[:, j])               # (N, 32)
         d = ad.sub(e1, f2j)
-        logits.append(ad.smul(ad.row_sum(ad.mul(d, d)), -1.0))  # (N,)
+        logits.append(ad.smul(ad.row_sum(ad.mul(d, d)), -1.0))  # (N, 1)
         neigh_feats.append(f2j)
 
     # constant per-row shift: softmax-invariant, keeps exp in range
@@ -319,12 +318,12 @@ def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
     total = exps[0]
     for e in exps[1:]:
         total = ad.add(total, e)
-    inv_total = _recip(total)                             # (N,)
+    inv_total = _recip(total)                             # (N, 1)
 
     attended = None
     for e, f2j in zip(exps, neigh_feats):
-        wgt = ad.mul(e, inv_total)                        # (N,)
-        term = ad.mul(ad.broadcast(wgt, (n, HIDDEN), axis=1), f2j)
+        wgt = ad.mul(e, inv_total)                        # (N, 1)
+        term = ad.mul(wgt, f2j)
         attended = term if attended is None else ad.add(attended, term)
 
     h = ad.concat(e1, attended, axis=1)                   # (N, 64)

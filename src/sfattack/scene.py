@@ -168,10 +168,7 @@ def load_sfp(data: bytes, pair_id: str = "pair") -> ScenePair:
     if has_color:
         col1, col2 = take(n1), take(n2)
     flow = FlowField(take(n1)) if has_flow else None
-    try:
-        pair = ScenePair(PointCloud(pos1, col1), PointCloud(pos2, col2), flow, pair_id)
-    except ValidationError:
-        raise
+    pair = ScenePair(PointCloud(pos1, col1), PointCloud(pos2, col2), flow, pair_id)
     violations = validate(pair)
     if violations:
         raise ValidationError("; ".join(violations))
@@ -215,7 +212,10 @@ def load_ply(text: str) -> PointCloud:
         if ln.startswith("comment") or ln == "format ascii 1.0":
             continue
         if ln.startswith("element vertex "):
-            n_vertices = int(ln.split()[-1])
+            try:
+                n_vertices = int(ln.split()[-1])
+            except ValueError as exc:
+                raise FormatError(f"bad vertex count in {ln!r}") from exc
             in_vertex = True
             continue
         if ln.startswith("element "):
@@ -245,7 +245,10 @@ def load_ply(text: str) -> PointCloud:
         parts = ln.split()
         if len(parts) != len(props):
             raise FormatError(f"vertex row {i} has {len(parts)} fields, expected {len(props)}")
-        data[i] = [np.float64(np.float32(p)) for p in parts]
+        try:
+            data[i] = [np.float64(np.float32(p)) for p in parts]
+        except ValueError as exc:
+            raise FormatError(f"vertex row {i} has a non-numeric field") from exc
     col = {name: j for j, name in enumerate(props)}
     positions = data[:, [col["x"], col["y"], col["z"]]]
     colors = data[:, [col["r"], col["g"], col["b"]]] if has_colors else None

@@ -363,7 +363,5 @@ def test_10_round_trips_and_fuzz():
             load_ply("\n".join(lines))
         except structured:
             pass
-        except ValueError:
-            pass  # mangled numeric fields surface as parse errors
     assert cases == 10_000
     ok("criterion 10: round-trips exact; 10,000 fuzz cases, structured errors only")

@@ -172,6 +172,20 @@ class TestPly:
         with pytest.raises(FormatError):
             load_ply("off\n3 0 0\n")
 
+    def test_non_integer_vertex_count(self):
+        text = save_ply(make_pair(n1=3, color=False).pc1)
+        with pytest.raises(FormatError) as info:
+            load_ply(text.replace("element vertex 3", "element vertex abc"))
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_non_numeric_field(self):
+        text = save_ply(make_pair(n1=2, color=False).pc1)
+        lines = text.rstrip("\n").split("\n")
+        lines[-1] = "0.5 abc 0.25"
+        with pytest.raises(FormatError) as info:
+            load_ply("\n".join(lines) + "\n")
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_bad_row_width(self):
         text = save_ply(make_pair(n1=2, color=False).pc1)
         lines = text.rstrip("\n").split("\n")
