@@ -11,12 +11,11 @@ ground-truth flow is never adjusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Tensor
+from .autodiff import Graph
 from .estimators import Estimator, epe_loss
 from .scene import PointCloud, ScenePair, ValidationError
 
@@ -107,43 +106,20 @@ class AttackConfig:
 class AttackResult:
     adv_pc1: PointCloud
     delta: np.ndarray
-    loss_before: float
-    loss_after: float
-    iters_run: int
 
 
-def attack_loss(pair: ScenePair, est: Estimator) -> Tensor:
-    """EPE between the estimated flow and the fixed ground truth."""
-    loss, _, _ = _loss_graph(pair, est, pair.pc1.positions,
-                             pair.pc1.colors if pair.pc1.has_colors else None)
-    return loss
-
-
-def _loss_graph(pair: ScenePair, est: Estimator,
-                pos1_val: np.ndarray, col1_val: Optional[np.ndarray]):
+def _masked_grad(pair: ScenePair, est: Estimator, cfg: AttackConfig,
+                 pos1_val, col1_val) -> np.ndarray:
+    """Gradient of the EPE against the fixed ground truth at (pos1_val,
+    col1_val), taken on the masked domain and zeroed off the masked axes."""
     if pair.gt_flow is None:
         raise ValidationError("attack requires a pair with gt_flow")
     g = Graph()
     pos1 = g.leaf(pos1_val)
     col1 = g.leaf(col1_val) if col1_val is not None else None
-    pred = est.flow_tensor(pos1, col1, pair)
-    return epe_loss(pred, pair.gt_flow), pos1, col1
-
-
-def _masked_grad(pair: ScenePair, est: Estimator, cfg: AttackConfig,
-                 pos1_val, col1_val) -> tuple[float, np.ndarray]:
-    """Loss value and the gradient on the masked domain, zeroed off-axes."""
-    loss, pos1, col1 = _loss_graph(pair, est, pos1_val, col1_val)
-    value = float(loss.data)
-    grads = ad.backward(loss)
+    loss = epe_loss(est.flow_tensor(pos1, col1, pair), pair.gt_flow)
     leaf = pos1 if cfg.mask.domain == "positions" else col1
-    grad = grads[leaf.node_id] * cfg.mask.axis_row()
-    return value, grad
-
-
-def _loss_value(pair: ScenePair, est: Estimator, pos1_val, col1_val) -> float:
-    loss, _, _ = _loss_graph(pair, est, pos1_val, col1_val)
-    return float(loss.data)
+    return ad.backward(loss)[leaf.node_id] * cfg.mask.axis_row()
 
 
 def _domain_values(pair: ScenePair, cfg: AttackConfig):
@@ -153,22 +129,13 @@ def _domain_values(pair: ScenePair, cfg: AttackConfig):
     return pos, col, base
 
 
-def _result(pair: ScenePair, cfg: AttackConfig, est: Optional[Estimator],
-            adv_domain: np.ndarray, loss_before: float, iters_run: int) -> AttackResult:
+def _result(pair: ScenePair, cfg: AttackConfig, adv_domain: np.ndarray) -> AttackResult:
     pos, col, base = _domain_values(pair, cfg)
-    delta = adv_domain - base
     if cfg.mask.domain == "positions":
         adv_pc1 = PointCloud(adv_domain, col)
-        adv_pos, adv_col = adv_domain, col
     else:
         adv_pc1 = PointCloud(pos, adv_domain)
-        adv_pos, adv_col = pos, adv_domain
-    if est is not None:
-        loss_after = _loss_value(pair, est, adv_pos, adv_col)
-    else:
-        loss_after = loss_before
-    return AttackResult(adv_pc1=adv_pc1, delta=delta, loss_before=loss_before,
-                        loss_after=loss_after, iters_run=iters_run)
+    return AttackResult(adv_pc1=adv_pc1, delta=adv_domain - base)
 
 
 def fgsm_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig) -> AttackResult:
@@ -186,7 +153,8 @@ def pgd_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
     At iters=1, alpha=eps and no random start this is FGSM; fgsm_sf calls
     it with those settings.  The gradient (and any hard neighbor selection
     inside the estimator) is recomputed from the current iterate at every
-    step.
+    step, one forward and one backward pass each.  Only the perturbed cloud
+    is returned; callers score it with epe(est.estimate(...), gt_flow).
     """
     cfg.mask.check(pair)
     pos, col, base = _domain_values(pair, cfg)
@@ -203,14 +171,11 @@ def pgd_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
         if clamp:
             x = np.clip(x, 0.0, 1.0)
 
-    loss_before = None
-    for t in range(cfg.iters):
+    for _ in range(cfg.iters):
         if is_color:
-            value, grad = _masked_grad(pair, est, cfg, pos, x)
+            grad = _masked_grad(pair, est, cfg, pos, x)
         else:
-            value, grad = _masked_grad(pair, est, cfg, x, col)
-        if t == 0 and not cfg.random_start:
-            loss_before = value
+            grad = _masked_grad(pair, est, cfg, x, col)
         # grad is already zero off the masked axes, so those entries never move
         if is_color:
             x = np.clip(x + alpha * np.sign(grad), base - cfg.eps, base + cfg.eps)
@@ -218,16 +183,17 @@ def pgd_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
                 x = np.clip(x, 0.0, 1.0)
         else:
             x = base + np.clip((x - base) + alpha * np.sign(grad), -cfg.eps, cfg.eps)
-    if loss_before is None:
-        loss_before = _loss_value(pair, est, pos, col)
-    return _result(pair, cfg, est, x, loss_before, iters_run=cfg.iters)
+    return _result(pair, cfg, x)
 
 
-def random_attack(pair: ScenePair, cfg: AttackConfig, seed: int,
-                  est: Optional[Estimator] = None) -> AttackResult:
-    """Seeded random perturbation inside the eps box (uniform or +-eps)."""
+def random_attack(pair: ScenePair, cfg: AttackConfig, seed: int) -> AttackResult:
+    """Seeded random perturbation inside the eps box (uniform or +-eps).
+
+    Runs no estimator: the pair needs no gt_flow, and callers score the
+    perturbed cloud themselves.
+    """
     cfg.mask.check(pair)
-    pos, col, base = _domain_values(pair, cfg)
+    _, _, base = _domain_values(pair, cfg)
     rng = np.random.default_rng(seed)
     if cfg.random_mode == "rademacher":
         noise = cfg.eps * rng.choice([-1.0, 1.0], size=base.shape)
@@ -236,8 +202,7 @@ def random_attack(pair: ScenePair, cfg: AttackConfig, seed: int,
     adv = base + noise * cfg.mask.axis_row()
     if cfg.mask.domain == "colors" and cfg.clamp_colors:
         adv = np.clip(adv, 0.0, 1.0)
-    loss_before = _loss_value(pair, est, pos, col) if est is not None else 0.0
-    return _result(pair, cfg, est, adv, loss_before, iters_run=1)
+    return _result(pair, cfg, adv)
 
 
 def check_feasibility(pair: ScenePair, cfg: AttackConfig, result: AttackResult,

@@ -4,7 +4,7 @@ A Graph is a tape: operations append nodes in topological order, and
 backward() sweeps the tape once in reverse.  Tensors are thin handles
 around numpy arrays; a tensor either lives on a graph (tracked) or is a
 plain constant.  The primitive set is deliberately small: elementwise
-add/sub/mul, scalar-mul, matmul, exp, log, relu, sum, mean, row-sum,
+add/sub/mul, scalar-mul, matmul, exp, log, relu, mean, row-sum,
 concat, gather-rows, rowwise L2 norm, and pairwise squared distances.
 Only add, sub and mul broadcast: a scalar, (1,1), (1,M), (M,) or (N,1)
 operand meets an (N,M) one, and its gradient is summed back to its shape.
@@ -209,13 +209,6 @@ def relu(a) -> Tensor:
 
 
 # -- reductions and shape primitives ------------------------------------
-
-def tsum(a) -> Tensor:
-    a = _coerce(a)
-    shape = a.shape
-    return _emit("sum", (a,), np.asarray(a.data.sum()),
-                 lambda g: (np.full(shape, float(g)),))
-
 
 def tmean(a) -> Tensor:
     a = _coerce(a)

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .attacks import AttackConfig, fgsm_sf, make_target_mask, pgd_sf, random_attack
-from .estimators import (OTConfig, OTEstimator, TinyNetEstimator,
+from .estimators import (OTConfig, OTEstimator, TinyNetEstimator, epe,
                          load_weights, save_weights, train_tiny)
 from .harness import load_grid, run_experiment, write_report
 from .scene import (FlowField, FormatError, ScenePair,
@@ -127,20 +127,23 @@ def _cmd_attack(args) -> int:
     elif args.attack == "pgd":
         result = pgd_sf(pair, est, cfg, seed=args.seed)
     else:
-        result = random_attack(pair, cfg, seed=args.seed, est=est)
+        result = random_attack(pair, cfg, seed=args.seed)
+    if pair.gt_flow is None:  # fgsm and pgd have already raised this
+        raise ValidationError("attack requires a pair with gt_flow")
     adv_pair = ScenePair(result.adv_pc1, pair.pc2, pair.gt_flow, pair.id + "_adv")
+    before = epe(est.estimate(pair), pair.gt_flow)
+    after = epe(est.estimate(adv_pair), pair.gt_flow)
     Path(args.out).write_bytes(save_sfp(adv_pair))
     summary = {
         "pair_id": pair.id, "attack": args.attack, "target": args.target,
-        "eps": args.eps, "iters": result.iters_run,
+        "eps": args.eps, "iters": 1 if args.attack == "random" else iters,
         "alpha": cfg.resolved_alpha(), "seed": args.seed,
-        "epe_before": result.loss_before, "epe_after": result.loss_after,
-        "rel": (result.loss_after - result.loss_before) / result.loss_before
-               if result.loss_before > 0 else None,
+        "epe_before": before, "epe_after": after,
+        "rel": (after - before) / before if before > 0 else None,
     }
     if args.report:
         Path(args.report).write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"epe {result.loss_before:.6g} -> {result.loss_after:.6g}")
+    print(f"epe {before:.6g} -> {after:.6g}")
     return 0
 
 

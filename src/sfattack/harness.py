@@ -8,7 +8,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -116,12 +116,15 @@ def _run_cell(pair: ScenePair, est: Estimator, entry: GridEntry,
     error = None
     after = base_epe
     try:
-        if entry.attack == "fgsm":
-            after = fgsm_sf(pair, est, cfg).loss_after
-        elif entry.attack == "pgd":
-            after = pgd_sf(pair, est, cfg, seed=rec_seed).loss_after
-        elif entry.attack == "random":
-            after = random_attack(pair, cfg, seed=rec_seed, est=est).loss_after
+        if entry.attack != "none":
+            if entry.attack == "fgsm":
+                result = fgsm_sf(pair, est, cfg)
+            elif entry.attack == "pgd":
+                result = pgd_sf(pair, est, cfg, seed=rec_seed)
+            else:
+                result = random_attack(pair, cfg, seed=rec_seed)
+            adv_pair = replace(pair, pc1=result.adv_pc1)
+            after = epe(est.estimate(adv_pair), pair.gt_flow)
     except Exception as exc:  # diagnostic record, the run continues
         error = f"{type(exc).__name__}: {exc}"
         after = float("nan")

@@ -29,6 +29,7 @@ from sfattack.estimators import (
     OTEstimator,
     TinyNetEstimator,
     epe,
+    epe_loss,
     init_weights,
     load_weights,
     save_weights,
@@ -116,7 +117,7 @@ def test_02_attack_feasibility_invariants():
         elif attack == "pgd":
             res = pgd_sf(pair, est, cfg, seed=i)
         else:
-            res = random_attack(pair, cfg, seed=i, est=est)
+            res = random_attack(pair, cfg, seed=i)
         violations += len(check_feasibility(pair, cfg, res))
         assert pair.gt_flow.vectors.tobytes() == gt_bytes
     assert violations == 0
@@ -140,9 +141,26 @@ def test_03_analytic_fgsm_fixture():
     ok("criterion 3: analytic FGSM fixture to 1e-12")
 
 
+def fgsm_oracle(pair, est, cfg):
+    """base + eps * sign(g) from the clean EPE gradient g on the masked
+    axes, clipped to [0,1] for colors: the FGSM step, computed here."""
+    g = ad.Graph()
+    pos1 = g.leaf(pair.pc1.positions)
+    col1 = g.leaf(pair.pc1.colors) if pair.pc1.has_colors else None
+    grads = ad.backward(epe_loss(est.flow_tensor(pos1, col1, pair), pair.gt_flow))
+    if cfg.mask.domain == "positions":
+        base, leaf = pair.pc1.positions, pos1
+    else:
+        base, leaf = pair.pc1.colors, col1
+    adv = base + cfg.eps * np.sign(grads[leaf.node_id] * cfg.mask.axis_row())
+    if cfg.mask.domain == "colors":
+        adv = np.clip(adv, 0.0, 1.0)
+    return base, adv
+
+
 def test_04_pgd_reduces_to_fgsm():
-    """pgd_sf(iters=1, alpha=eps, no random start) == fgsm_sf, bitwise,
-    on 100 seeded pairs."""
+    """pgd_sf(iters=1, alpha=eps, no random start) and fgsm_sf both equal
+    an inline FGSM oracle, bitwise, on 100 seeded pairs."""
     est = OTEstimator(OTConfig(sinkhorn_iters=10))
     motion = MotionSpec(kind="rigid", axis=(0.0, 0.0, 1.0), angle=0.2,
                         translation=(0.08, -0.03, 0.05), noise_sigma=0.02)
@@ -150,11 +168,12 @@ def test_04_pgd_reduces_to_fgsm():
         pair = make_pair(12, motion, with_color=(seed % 2 == 0), seed=seed)
         mask = TargetMask("colors") if seed % 4 == 0 else TargetMask("positions")
         cfg = AttackConfig(eps=0.06, iters=1, alpha=0.06, mask=mask)
-        a = fgsm_sf(pair, est, cfg)
-        b = pgd_sf(pair, est, cfg)
-        assert a.adv_pc1.positions.tobytes() == b.adv_pc1.positions.tobytes()
-        assert a.delta.tobytes() == b.delta.tobytes()
-        assert a.loss_after == b.loss_after
+        base, adv = fgsm_oracle(pair, est, cfg)
+        for res in (fgsm_sf(pair, est, cfg), pgd_sf(pair, est, cfg)):
+            got = (res.adv_pc1.positions if mask.domain == "positions"
+                   else res.adv_pc1.colors)
+            assert got.tobytes() == adv.tobytes()
+            assert res.delta.tobytes() == (adv - base).tobytes()
     ok("criterion 4: PGD(iters=1, alpha=eps) == FGSM bitwise on 100 pairs")
 
 

@@ -1,17 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sfattack.attacks import (
     AttackConfig,
     TargetMask,
-    attack_loss,
     check_feasibility,
     fgsm_sf,
     make_target_mask,
     pgd_sf,
     random_attack,
 )
-from sfattack.estimators import Estimator, OTConfig, OTEstimator
+from sfattack.estimators import Estimator, OTConfig, OTEstimator, epe, epe_loss
 from sfattack.scene import FlowField, PointCloud, ScenePair, ValidationError
 from sfattack.synth import MotionSpec, make_pair
 from sfattack import autodiff as ad
@@ -39,6 +40,30 @@ def simple_pair(n=6, seed=0, color=True, flow_scale=0.1):
     col = rng.uniform(0.2, 0.8, size=(n, 3)) if color else None
     gt = FlowField(rng.normal(0, flow_scale, size=(n, 3)))
     return ScenePair(PointCloud(pos, col), PointCloud(pos + gt.vectors, col), gt, "t")
+
+
+def score(est, pair, pc1=None):
+    """EPE of the estimate on pair, with pc1 replaced when given."""
+    if pc1 is not None:
+        pair = replace(pair, pc1=pc1)
+    return epe(est.estimate(pair), pair.gt_flow)
+
+
+def fgsm_oracle(pair, est, cfg):
+    """The FGSM step computed here: base + eps * sign(g) from the clean EPE
+    gradient g on the masked axes, clipped to [0,1] for colors."""
+    g = ad.Graph()
+    pos1 = g.leaf(pair.pc1.positions)
+    col1 = g.leaf(pair.pc1.colors) if pair.pc1.has_colors else None
+    grads = ad.backward(epe_loss(est.flow_tensor(pos1, col1, pair), pair.gt_flow))
+    if cfg.mask.domain == "positions":
+        base, leaf = pair.pc1.positions, pos1
+    else:
+        base, leaf = pair.pc1.colors, col1
+    adv = base + cfg.eps * np.sign(grads[leaf.node_id] * cfg.mask.axis_row())
+    if cfg.mask.domain == "colors":
+        adv = np.clip(adv, 0.0, 1.0)
+    return base, adv
 
 
 class TestTargetMask:
@@ -90,21 +115,13 @@ class TestAttackConfig:
             AttackConfig(eps=0.1, random_mode="gaussian")
 
 
-class TestAttackLoss:
-    def test_zero_estimator_loss_is_gt_magnitude(self):
-        pair = simple_pair()
-        loss = attack_loss(pair, ZeroFlowEstimator())
-        expect = np.linalg.norm(pair.gt_flow.vectors, axis=1).mean()
-        assert float(loss.data) == pytest.approx(expect, abs=1e-15)
-
+class TestFgsm:
     def test_requires_gt(self):
         pair = simple_pair()
         stripped = ScenePair(pair.pc1, pair.pc2, None, "x")
-        with pytest.raises(ValidationError):
-            attack_loss(stripped, ZeroFlowEstimator())
+        with pytest.raises(ValidationError, match="gt_flow"):
+            fgsm_sf(stripped, ZeroFlowEstimator(), AttackConfig(eps=0.1))
 
-
-class TestFgsm:
     def test_analytic_direction(self):
         # est(-pos1) vs gt=0: loss = mean ||pos1||, grad = pos1/(N*||pos1||);
         # sign(grad) = sign(pos1), so delta = eps * sign(pos1)
@@ -122,7 +139,7 @@ class TestFgsm:
         # zero estimator: loss independent of pos1, grad = 0, delta = 0
         res = fgsm_sf(pair, ZeroFlowEstimator(), AttackConfig(eps=0.05))
         assert np.array_equal(res.delta, np.zeros((1, 3)))
-        assert res.loss_after == res.loss_before
+        assert res.adv_pc1.positions.tobytes() == pos.tobytes()
 
     def test_mask_restricts_axes(self):
         pair = simple_pair(seed=2)
@@ -136,7 +153,7 @@ class TestFgsm:
                          with_color=False, seed=3)
         est = OTEstimator()
         res = fgsm_sf(pair, est, AttackConfig(eps=0.1))
-        assert res.loss_after > res.loss_before
+        assert score(est, pair, res.adv_pc1) > score(est, pair)
 
     def test_gt_flow_untouched(self):
         pair = simple_pair(seed=4)
@@ -160,10 +177,9 @@ class TestPgd:
         est = OTEstimator()
         for mask in (TargetMask("positions"), TargetMask("colors", frozenset({0, 1}))):
             cfg = AttackConfig(eps=0.08, iters=1, alpha=0.08, mask=mask)
-            a = fgsm_sf(pair, est, cfg)
-            b = pgd_sf(pair, est, cfg)
-            assert a.delta.tobytes() == b.delta.tobytes()
-            assert a.loss_after == b.loss_after
+            base, adv = fgsm_oracle(pair, est, cfg)
+            for res in (fgsm_sf(pair, est, cfg), pgd_sf(pair, est, cfg)):
+                assert res.delta.tobytes() == (adv - base).tobytes()
 
     def test_at_least_fgsm_on_ot(self):
         pair = make_pair(32, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
@@ -171,14 +187,13 @@ class TestPgd:
         est = OTEstimator()
         f = fgsm_sf(pair, est, AttackConfig(eps=0.1))
         p = pgd_sf(pair, est, AttackConfig(eps=0.1, iters=5))
-        assert p.loss_after >= f.loss_after - 1e-9
+        assert score(est, pair, p.adv_pc1) >= score(est, pair, f.adv_pc1) - 1e-9
 
     def test_feasible_with_random_start(self):
         pair = simple_pair(seed=8)
         cfg = AttackConfig(eps=0.07, iters=4, random_start=True)
         res = pgd_sf(pair, NegativeFlowEstimator(), cfg, seed=3)
         assert check_feasibility(pair, cfg, res) == []
-        assert res.iters_run == 4
 
     def test_random_start_seeded(self):
         pair = simple_pair(seed=9)
@@ -221,13 +236,6 @@ class TestRandomAttack:
         res = random_attack(pair, cfg, seed=0)
         assert np.allclose(np.abs(res.delta), 0.1, rtol=0, atol=1e-15)
 
-    def test_with_estimator_reports_losses(self):
-        pair = simple_pair(seed=14, color=False)
-        res = random_attack(pair, AttackConfig(eps=0.1), seed=1,
-                            est=NegativeFlowEstimator())
-        assert res.loss_before > 0.0
-        assert res.loss_after != 0.0
-
 
 class TestFeasibility:
     @pytest.mark.parametrize("mask_spec", ["all-dims", "dim=0", "dim=1,2",
@@ -246,7 +254,5 @@ class TestFeasibility:
         pair = simple_pair(seed=16)
         cfg = AttackConfig(eps=0.05)
         res = fgsm_sf(pair, NegativeFlowEstimator(), cfg)
-        bad = type(res)(adv_pc1=res.adv_pc1, delta=res.delta * 3.0,
-                        loss_before=res.loss_before, loss_after=res.loss_after,
-                        iters_run=res.iters_run)
+        bad = type(res)(adv_pc1=res.adv_pc1, delta=res.delta * 3.0)
         assert "delta exceeds eps" in check_feasibility(pair, cfg, bad)

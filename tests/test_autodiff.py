@@ -68,8 +68,8 @@ class TestBackward:
     def test_sum_of_squares(self):
         g = ad.Graph()
         x = g.leaf([1.0, 2.0])
-        grads = ad.backward(ad.tsum(ad.mul(x, x)))
-        assert np.array_equal(grads[x.node_id], [2.0, 4.0])
+        grads = ad.backward(ad.tmean(ad.mul(x, x)))  # (1 + 4) / 2
+        assert np.array_equal(grads[x.node_id], [1.0, 2.0])
 
     def test_mean_norm(self):
         g = ad.Graph()
@@ -86,7 +86,7 @@ class TestBackward:
     def test_graph_single_use(self):
         g = ad.Graph()
         x = g.leaf([1.0])
-        root = ad.tsum(x)
+        root = ad.tmean(x)
         ad.backward(root)
         with pytest.raises(ad.GraphError):
             ad.backward(root)
@@ -95,21 +95,21 @@ class TestBackward:
         g = ad.Graph()
         x = g.leaf([1.0, 2.0])
         y = g.leaf([3.0])
-        grads = ad.backward(ad.tsum(x))
+        grads = ad.backward(ad.tmean(x))
         assert np.array_equal(grads[y.node_id], [0.0])
 
 
 def _recipes():
     """Composite graph builders: (fn over tensors, shapes)."""
     def r0(x, y):
-        return ad.tsum(ad.mul(ad.exp(ad.smul(x, 0.3)), ad.add(y, x)))
+        return ad.tmean(ad.mul(ad.exp(ad.smul(x, 0.3)), ad.add(y, x)))
 
     def r1(x, y):
         return ad.tmean(ad.rownorm(ad.sub(ad.matmul(x, y), ad.smul(x, 0.5))))
 
     def r2(x, y):
         d = ad.pairwise_sqdist(x, y)
-        return ad.tsum(ad.mul(ad.log(ad.add(d, ad.constant(1.0))), ad.smul(d, 0.1)))
+        return ad.tmean(ad.mul(ad.log(ad.add(d, ad.constant(1.0))), ad.smul(d, 0.1)))
 
     def r3(x, y):
         c = ad.concat(x, y, axis=0)
@@ -117,13 +117,13 @@ def _recipes():
 
     def r4(x, y):
         gathered = ad.gather_rows(x, [0, 2, 1, 2])
-        return ad.tsum(ad.relu(ad.sub(ad.matmul(gathered, y), ad.constant(0.2))))
+        return ad.tmean(ad.relu(ad.sub(ad.matmul(gathered, y), ad.constant(0.2))))
 
     def r5(x, col, row):
         # mul and sub broadcasting tracked (N,1) and (1,M) operands
         a = ad.mul(col, ad.sub(x, row))
         b = ad.sub(col, ad.mul(x, row))
-        return ad.tsum(ad.mul(a, b))
+        return ad.tmean(ad.mul(a, b))
 
     return [
         (r0, [(3, 4), (3, 4)]),
@@ -164,7 +164,7 @@ class TestGradientCorrectness:
             x = g.leaf(v)
             return ad.backward(fn(x))[x.node_id]
 
-        f = lambda x: ad.tsum(ad.mul(x, x))
+        f = lambda x: ad.tmean(ad.mul(x, x))
         h = lambda x: ad.tmean(ad.rownorm(x))
         combo = lambda x: ad.add(ad.smul(f(x), 2.0), ad.smul(h(x), -3.0))
         assert np.allclose(grad_of(combo), 2.0 * grad_of(f) - 3.0 * grad_of(h),
@@ -186,21 +186,21 @@ class TestGradientCorrectness:
     def test_sign_safety_relu(self):
         g = ad.Graph()
         x = g.leaf([0.0, -1.0, 2.0])
-        grads = ad.backward(ad.tsum(ad.relu(x)))
-        assert np.array_equal(grads[x.node_id], [0.0, 0.0, 1.0])
+        grads = ad.backward(ad.tmean(ad.relu(x)))
+        assert np.array_equal(grads[x.node_id], [0.0, 0.0, 1.0 / 3.0])
 
     def test_sign_safety_rownorm(self):
         g = ad.Graph()
         x = g.leaf([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-        grads = ad.backward(ad.tsum(ad.rownorm(x)))
+        grads = ad.backward(ad.tmean(ad.rownorm(x)))
         assert np.array_equal(grads[x.node_id][0], [0.0, 0.0, 0.0])
-        assert np.allclose(grads[x.node_id][1], [0.6, 0.8, 0.0])
+        assert np.allclose(grads[x.node_id][1], [0.3, 0.4, 0.0])
 
 
 class TestGradcheck:
     def test_constant_recipe(self):
         def builder(rng):
-            return (lambda x: ad.smul(ad.tsum(ad.mul(x, ad.constant(np.zeros(3)))), 1.0),
+            return (lambda x: ad.smul(ad.tmean(ad.mul(x, ad.constant(np.zeros(3)))), 1.0),
                     [np.ones(3)])
 
         rep = ad.gradcheck(builder, seed=0)
@@ -217,7 +217,7 @@ class TestGradcheck:
 
     def test_nonfinite_forward_rejected(self):
         def builder(rng):
-            return lambda x: ad.smul(ad.tsum(x), float("nan")), [np.ones(2)]
+            return lambda x: ad.smul(ad.tmean(x), float("nan")), [np.ones(2)]
 
         with pytest.raises(ad.DomainError):
             ad.gradcheck(builder, seed=0)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sfattack.cli import cli_main
-from sfattack.scene import load_sfp
+from sfattack.scene import ScenePair, load_sfp, save_sfp
 from sfattack.estimators import load_weights
 
 
@@ -73,6 +73,30 @@ class TestAttack:
         doc = json.loads(report.read_text())
         assert doc["alpha"] == pytest.approx(0.5)  # 2.5 * eps / iters
         assert doc["iters"] == 10
+
+    def test_random_reports_one_iter(self, dataset_dir, tmp_path, capsys):
+        report = tmp_path / "rep.json"
+        code, _, _ = run_cli(
+            capsys, "attack", "--attack", "random", "--eps", "0.05", "--iters", "10",
+            "--in", str(dataset_dir / "pair_0000.sfp"),
+            "--out", str(tmp_path / "adv.sfp"), "--report", str(report))
+        assert code == 0
+        doc = json.loads(report.read_text())
+        assert doc["iters"] == 1
+        assert doc["epe_after"] != doc["epe_before"]
+
+    @pytest.mark.parametrize("attack", ["fgsm", "pgd", "random"])
+    def test_pair_without_gt_flow_exits_1(self, dataset_dir, tmp_path, capsys, attack):
+        pair = load_sfp((dataset_dir / "pair_0000.sfp").read_bytes())
+        bare = tmp_path / "bare.sfp"
+        bare.write_bytes(save_sfp(ScenePair(pair.pc1, pair.pc2, None, "bare")))
+        out = tmp_path / "adv.sfp"
+        code, _, err = run_cli(
+            capsys, "attack", "--attack", attack, "--eps", "0.05",
+            "--in", str(bare), "--out", str(out))
+        assert code == 1
+        assert "attack requires a pair with gt_flow" in err
+        assert not out.exists()
 
     def test_bad_target_exits_1(self, dataset_dir, tmp_path, capsys):
         code, _, err = run_cli(

@@ -21,6 +21,7 @@ from sfattack.harness import (
     run_experiment,
     write_report,
     _rel,
+    _run_cell,
 )
 from sfattack.scene import FlowField, ValidationError
 from sfattack.synth import DatasetSpec, make_dataset
@@ -40,6 +41,23 @@ def small_grid():
         GridEntry("fgsm", AttackConfig(eps=0.05, iters=1, alpha=0.05)),
         GridEntry("random", AttackConfig(eps=0.05)),
     ]
+
+
+class CountingEstimator(OTEstimator):
+    """OT estimator that counts its forward passes."""
+
+    def __init__(self):
+        super().__init__(OTConfig(sinkhorn_iters=5))
+        self.flow_calls = 0
+
+    def flow_tensor(self, pos1, col1, pair):
+        self.flow_calls += 1
+        return super().flow_tensor(pos1, col1, pair)
+
+
+@pytest.fixture
+def counting_est():
+    return CountingEstimator()
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +161,20 @@ class TestRunExperiment:
         report = run_experiment(small_dataset, est, grid, seed=0)
         assert all(r.error is not None for r in report.records)
         assert report.aggregates == []
+
+    @pytest.mark.parametrize("entry,calls", [
+        (GridEntry("none"), 0),
+        (GridEntry("random", AttackConfig(eps=0.05)), 1),
+        (GridEntry("fgsm", AttackConfig(eps=0.05)), 2),
+        (GridEntry("pgd", AttackConfig(eps=0.05, iters=3)), 4),
+        (GridEntry("pgd", AttackConfig(eps=0.05, iters=3, random_start=True)), 4),
+    ], ids=["none", "random", "fgsm", "pgd", "pgd-random-start"])
+    def test_forward_passes_per_cell(self, small_dataset, counting_est, entry, calls):
+        # one forward per gradient step plus one to score the attacked cloud;
+        # the clean EPE comes in as base_epe
+        rec = _run_cell(small_dataset[0], counting_est, entry, 0.1, seed=0, timing=False)
+        assert rec.error is None
+        assert counting_est.flow_calls == calls
 
     def test_requires_gt(self, small_dataset, small_grid):
         from sfattack.scene import ScenePair
