@@ -8,6 +8,13 @@ add/sub/mul, scalar-mul, matmul, exp, log, relu, mean, row-sum,
 concat, gather-rows, rowwise L2 norm, and pairwise squared distances.
 Only add, sub and mul broadcast: a scalar, (1,1), (1,M), (M,) or (N,1)
 operand meets an (N,M) one, and its gradient is summed back to its shape.
+
+backward() releases the tape as it goes: once a node's gradient has been
+passed to its parents, the node's value, its VJP closure and its gradient
+are dropped, since every consumer of the node lies later on the tape.  Peak
+memory is then about one tape, not a tape plus a gradient per node.  VJP
+closures capture arrays and shapes, never Tensors, so no reference cycle
+ties a graph to itself and reference counting frees it.
 """
 
 from __future__ import annotations
@@ -41,10 +48,11 @@ class _Node:
 
 
 class Graph:
-    """Append-only tape of primitive operations, single-use per backward."""
+    """Append-only tape of primitive operations; backward() consumes it."""
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[Optional[_Node]] = []
+        self._leaf_ids: list[int] = []
         self._consumed = False
 
     def __len__(self):
@@ -55,6 +63,7 @@ class Graph:
         value = _as_array(data)
         if not np.all(np.isfinite(value)):
             raise DomainError("leaf values must be finite")
+        self._leaf_ids.append(len(self._nodes))
         return self._record("leaf", (), value, None)
 
     def _record(self, tag, parent_ids, value, vjp) -> "Tensor":
@@ -62,7 +71,7 @@ class Graph:
         return Tensor(value, self, len(self._nodes) - 1)
 
     def leaf_ids(self):
-        return [i for i, n in enumerate(self._nodes) if n.tag == "leaf"]
+        return list(self._leaf_ids)
 
 
 class Tensor:
@@ -305,6 +314,8 @@ def backward(root: Tensor) -> dict[int, np.ndarray]:
     """Reverse sweep from a scalar root; returns gradients for every leaf.
 
     The graph is consumed: a second backward over the same graph raises.
+    Each non-leaf node up to the root is released (value, VJP closure and
+    gradient) as soon as its gradient has been propagated; leaves are kept.
     """
     if root.graph is None:
         raise GraphError("root is not attached to a graph")
@@ -319,9 +330,12 @@ def backward(root: Tensor) -> dict[int, np.ndarray]:
     grads: list[Optional[np.ndarray]] = [None] * len(nodes)
     grads[root.node_id] = np.ones(())
     for i in range(root.node_id, -1, -1):
-        g = grads[i]
         node = nodes[i]
-        if g is None or node.vjp is None:
+        if node.vjp is None:  # a leaf keeps its node and its gradient
+            continue
+        # every consumer of this node lies later on the tape and is done
+        g, grads[i], nodes[i] = grads[i], None, None
+        if g is None:
             continue
         for pid, pg in zip(node.parent_ids, node.vjp(g)):
             if pid is None or pg is None:

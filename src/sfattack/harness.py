@@ -147,6 +147,8 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
     """Every pair x grid cell; aggregates are order-independent."""
     if not grid:
         raise ValidationError("grid must be nonempty")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     for pair in dataset:
         if pair.gt_flow is None:
             raise ValidationError(f"pair {pair.id} lacks gt_flow")

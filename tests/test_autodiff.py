@@ -1,7 +1,13 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from sfattack import autodiff as ad
+from sfattack.estimators import OTEstimator, epe_loss, init_weights, tiny_flow
+from sfattack.synth import MotionSpec, make_pair
 
 
 def fd_grad(fn, values, h=1e-5):
@@ -97,6 +103,49 @@ class TestBackward:
         y = g.leaf([3.0])
         grads = ad.backward(ad.tmean(x))
         assert np.array_equal(grads[y.node_id], [0.0])
+
+
+class TestTapeRelease:
+    def test_backward_frees_the_tape_as_it_goes(self):
+        # keeping every node and every gradient until the sweep ends needs
+        # about one more tape of memory; freeing as it goes needs a sliver
+        pair = make_pair(128, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
+                         with_color=False, seed=0)
+        tracemalloc.start()
+        try:
+            g = ad.Graph()
+            pos1 = g.leaf(pair.pc1.positions)
+            loss = epe_loss(OTEstimator().flow_tensor(pos1, None, pair), pair.gt_flow)
+            tape_bytes = sum(node.value.nbytes for node in g._nodes)
+            at_entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = ad.backward(loss)
+            extra = tracemalloc.get_traced_memory()[1] - at_entry
+        finally:
+            tracemalloc.stop()
+        assert np.abs(grads[pos1.node_id]).max() > 0.0
+        assert extra < 0.25 * tape_bytes
+
+    @pytest.mark.parametrize("sweep", [True, False], ids=["backward", "forward-only"])
+    def test_graph_needs_no_cycle_collector(self, sweep):
+        # a VJP closure that captured a Tensor would tie the graph into a
+        # cycle (graph -> node -> closure -> Tensor -> graph)
+        pair = make_pair(16, MotionSpec(angle=0.2), with_color=False, seed=1)
+        w = init_weights(3, seed=0)
+        gc.disable()
+        try:
+            g = ad.Graph()
+            pos1 = g.leaf(pair.pc1.positions)
+            params = [g.leaf(a) for a in w.arrays()]
+            loss = epe_loss(tiny_flow(pos1, None, pair, params, w.k_neighbors),
+                            pair.gt_flow)
+            if sweep:
+                ad.backward(loss)
+            ref = weakref.ref(g)
+            del g, pos1, params, loss
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def _recipes():

@@ -154,6 +154,18 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, dataset_dir, tmp_path, capsys, jobs):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"attack": "none"}]))
+        report = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, "eval", "--data", str(dataset_dir),
+                               "--grid", str(grid), "--report", str(report),
+                               "--jobs", jobs)
+        assert code == 1
+        assert "jobs" in err
+        assert not report.exists()
+
 
 class TestTrain:
     def test_train_and_use(self, tmp_path, capsys):

@@ -182,6 +182,12 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(bare, OTEstimator(), small_grid, seed=0)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, small_dataset, small_grid, counting_est, jobs):
+        with pytest.raises(ValidationError):
+            run_experiment(small_dataset, counting_est, small_grid, seed=0, jobs=jobs)
+        assert counting_est.flow_calls == 0
+
 
 class TestSerialization:
     def test_csv_shape(self, small_report):
