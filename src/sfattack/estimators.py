@@ -55,19 +55,36 @@ def _recip(t: Tensor) -> Tensor:
     return ad.exp(ad.smul(ad.log(t), -1.0))
 
 
+def _lower_median_index(flat: np.ndarray) -> int:
+    """Flat index a stable argsort ranks at the lower median, in linear time.
+
+    Entries equal to the median value keep their index order in a stable
+    sort, and NaNs sort last, so the rank among the ties picks the index.
+    """
+    kth = (flat.size - 1) // 2
+    v = flat[np.argpartition(flat, kth)[kth]]
+    if np.isnan(v):
+        ties = np.flatnonzero(np.isnan(flat))
+        below = flat.size - ties.size
+    else:
+        ties = np.flatnonzero(flat == v)
+        below = np.count_nonzero(flat < v)
+    return int(ties[kth - below])
+
+
 def median_scale(cost: Tensor) -> Tensor:
     """Divide a cost matrix by its (lower) median entry, differentiably.
 
-    The median entry is located on detached values; the division then goes
-    through the graph so gradients account for the scale.  A non-positive
-    median leaves the cost unscaled (nothing to guard against).
+    The median entry is located on detached values, by linear-time
+    selection that breaks ties as a stable sort would; the division then
+    goes through the graph so gradients account for the scale.  A
+    non-positive median leaves the cost unscaled (nothing to guard against).
     """
     if not isinstance(cost, Tensor):
         cost = constant(cost)
     vals = cost.data
     m = vals.shape[1]
-    order = np.argsort(vals, axis=None, kind="stable")
-    r, c = divmod(int(order[(vals.size - 1) // 2]), m)
+    r, c = divmod(_lower_median_index(vals.ravel()), m)
     if vals[r, c] <= 1e-300:
         return cost
     row = ad.gather_rows(cost, [r])                       # (1, m)
@@ -83,6 +100,14 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
     The cost is pre-divided by its median entry as an overflow guard, then
     K = exp(-cost/reg) is alternately normalized (rows to 1/N, columns to
     1/M) for `iters` rounds and finally rescaled so each row sums to 1.
+
+    The iterations form one tape node with a hand-written VJP.  Every
+    iterate is diag(a)·K·diag(b), so the node keeps K and the (N,1) and
+    (1,M) scalings of each iterate, not the iterates: memory is a few N×M
+    arrays whatever `iters` is.  The backward differentiates the
+    normalizations in reverse order, reading each iterate through K and its
+    scalings.  The forward is the unrolled arithmetic, operation for
+    operation, so the plan is bitwise what the unrolled graph computes.
     """
     if reg <= 0.0:
         raise ValidationError("sinkhorn reg must be > 0")
@@ -95,18 +120,63 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
     if not np.all(np.isfinite(cost.data)):
         raise ad.DomainError("cost must be finite")
     n, m = cost.shape
-    ones_row = constant(np.ones((1, n)))
-    k = ad.exp(ad.smul(median_scale(cost), -1.0 / reg))
+    scaled = median_scale(cost)
+    neg_inv_reg = -1.0 / reg
+    k0 = np.exp(scaled.data * neg_inv_reg)
+    ones_row = np.ones((1, n))
+    # a[t], b[t]: scalings of the iterate entering round t (and the final
+    # row normalization for t = iters); rows[t], cols[t]: (marginal, 1/marginal)
+    a, b = [np.ones((n, 1))], [np.ones((1, m))]
+    rows, cols = [], []
+    k = k0.copy()  # updated in place, in the unrolled order of operations
     for _ in range(iters):
-        r = ad.row_sum(k)                                  # (n, 1)
-        _check_marginal(r.data, "row")
-        k = ad.smul(ad.mul(k, _recip(r)), 1.0 / n)
-        c = ad.matmul(ones_row, k)                         # (1, m)
-        _check_marginal(c.data, "column")
-        k = ad.smul(ad.mul(k, _recip(c)), 1.0 / m)
-    r = ad.row_sum(k)
-    _check_marginal(r.data, "row")
-    return ad.mul(k, _recip(r))
+        r = k.sum(axis=1, keepdims=True)                  # (n, 1)
+        _check_marginal(r, "row")
+        r_inv = _np_recip(r)
+        k *= r_inv
+        k *= 1.0 / n
+        c = ones_row @ k                                  # (1, m)
+        _check_marginal(c, "column")
+        c_inv = _np_recip(c)
+        k *= c_inv
+        k *= 1.0 / m
+        rows.append((r, r_inv))
+        cols.append((c, c_inv))
+        a.append(a[-1] * r_inv * (1.0 / n))
+        b.append(b[-1] * c_inv * (1.0 / m))
+    r = k.sum(axis=1, keepdims=True)
+    _check_marginal(r, "row")
+    r_inv = _np_recip(r)
+    rows.append((r, r_inv))
+    k *= r_inv
+
+    def vjp(g):
+        g = g.copy()              # updated in place, one normalization at a time
+        h = np.empty_like(k0)     # scratch
+        _normalize_vjp(g, h, k0, a[iters], b[iters], *rows[iters], 1, 1.0)
+        for t in reversed(range(iters)):
+            _normalize_vjp(g, h, k0, a[t + 1], b[t], *cols[t], 0, 1.0 / m)
+            _normalize_vjp(g, h, k0, a[t], b[t], *rows[t], 1, 1.0 / n)
+        g *= k0
+        g *= neg_inv_reg
+        return (g,)
+
+    return ad._emit("sinkhorn", (scaled,), k, vjp)
+
+
+def _np_recip(x: np.ndarray) -> np.ndarray:
+    # the value _recip computes, without recording it
+    return np.exp(np.log(x) * -1.0)
+
+
+def _normalize_vjp(g, h, k0, a, b, x, inv, axis, scale):
+    """Turn g, the gradient w.r.t. k * inv * scale, into the gradient w.r.t.
+    k in place, where k = diag(a)·K0·diag(b), x is k summed over `axis` and
+    inv = exp(-log x).  h is scratch."""
+    np.multiply(g, k0, out=h)
+    gk = (h @ b.T) * a if axis == 1 else (a.T @ h) * b   # g·k summed over axis
+    g *= inv * scale
+    g += gk * scale * inv * -1.0 / x
 
 
 def _check_marginal(v: np.ndarray, which: str) -> None:

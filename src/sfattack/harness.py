@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .attacks import AttackConfig, fgsm_sf, make_target_mask, pgd_sf, random_attack
+from .attacks import (AUTO, AttackConfig, fgsm_sf, make_target_mask, pgd_sf,
+                      random_attack)
 from .estimators import Estimator, epe
 from .scene import FlowField, ScenePair, ValidationError
 
@@ -47,20 +48,52 @@ class GridEntry:
         return self.config.mask.spec_string() if self.config else "-"
 
 
+_NUMBER = (int, float)  # exact JSON types: a bool is not a number here
+_GRID_FIELDS = {
+    "attack": (str,), "eps": _NUMBER, "iters": (int,), "alpha": _NUMBER + (str,),
+    "target": (str,), "random_start": (bool,), "clamp_colors": (bool,),
+    "random_mode": (str,),
+}
+
+
 def grid_entry_from_dict(obj: dict) -> GridEntry:
-    """Parse one grid-file object into a GridEntry."""
+    """Parse one grid-file object into a GridEntry.
+
+    Keys and JSON types are checked exactly, so a misspelled key or a
+    quoted number is an error, not a silent default.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"grid entry must be an object, got {obj!r}")
+    for key, value in obj.items():
+        if key not in _GRID_FIELDS:
+            raise ValidationError(f"unknown grid key {key!r}")
+        if type(value) not in _GRID_FIELDS[key]:
+            raise ValidationError(f"grid key {key!r} has the wrong type: {value!r}")
     attack = obj.get("attack")
+    if attack is None:
+        raise ValidationError("grid entry needs 'attack'")
     if attack == "none":
+        if len(obj) > 1:
+            raise ValidationError("attack 'none' takes no other keys")
         return GridEntry("none")
-    cfg = AttackConfig(
-        eps=float(obj["eps"]),
-        iters=int(obj.get("iters", 1)),
-        alpha=obj.get("alpha", "auto"),
-        mask=make_target_mask(obj.get("target", "all-dims")),
-        random_start=bool(obj.get("random_start", False)),
-        clamp_colors=bool(obj.get("clamp_colors", True)),
-        random_mode=obj.get("random_mode", "uniform"),
-    )
+    if "eps" not in obj:
+        raise ValidationError("grid entry needs 'eps'")
+    alpha = obj.get("alpha", AUTO)
+    if isinstance(alpha, str) and alpha != AUTO:
+        raise ValidationError(f"alpha must be a number or {AUTO!r}, got {alpha!r}")
+    try:  # a JSON integer can be too large for a float
+        cfg = AttackConfig(
+            eps=float(obj["eps"]),
+            iters=obj.get("iters", 1),
+            alpha=alpha,
+            mask=make_target_mask(obj.get("target", "all-dims")),
+            random_start=obj.get("random_start", False),
+            clamp_colors=obj.get("clamp_colors", True),
+            random_mode=obj.get("random_mode", "uniform"),
+        )
+        cfg.resolved_alpha()
+    except OverflowError as exc:
+        raise ValidationError(f"grid entry number out of range: {exc}") from exc
     return GridEntry(attack, cfg)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sfattack import autodiff as ad
+from sfattack import estimators
 from sfattack.estimators import OTEstimator, epe_loss, init_weights, tiny_flow
 from sfattack.synth import MotionSpec, make_pair
 
@@ -106,9 +107,11 @@ class TestBackward:
 
 
 class TestTapeRelease:
-    def test_backward_frees_the_tape_as_it_goes(self):
+    def test_backward_frees_the_tape_as_it_goes(self, monkeypatch, unrolled_sinkhorn):
         # keeping every node and every gradient until the sweep ends needs
-        # about one more tape of memory; freeing as it goes needs a sliver
+        # about one more tape of memory; freeing as it goes needs a sliver.
+        # The unrolled Sinkhorn gives a long tape of N x M nodes to free.
+        monkeypatch.setattr(estimators, "sinkhorn", unrolled_sinkhorn)
         pair = make_pair(128, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
                          with_color=False, seed=0)
         tracemalloc.start()

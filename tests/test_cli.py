@@ -154,6 +154,33 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("entry", [
+        {"attack": "fgsm"},
+        [5],
+        {"attack": "fgsm", "eps": 0.05, "target": 3},
+        {"attack": "pgd", "eps": 0.05, "alpha": None},
+        {"attack": "pgd", "eps": 0.05, "alpha": "0.01"},
+        {"attack": "pgd", "eps": 0.05, "iter": 10},
+        {"attack": "pgd", "eps": 0.05, "random_start": "no"},
+        {"attack": "pgd", "eps": 0.05, "iters": 1.5},
+        {"attack": "pgd", "eps": 0.05, "iters": True},
+        {"attack": "fgsm", "eps": "0.05"},
+        {"attack": "fgsm", "eps": 10**400},
+        {"attack": "none", "eps": 0.05},
+        {"eps": 0.05},
+    ], ids=["missing-eps", "non-object", "int-target", "null-alpha", "string-alpha",
+            "unknown-key", "string-flag", "float-iters", "bool-iters", "string-eps",
+            "huge-eps", "none-with-eps", "missing-attack"])
+    def test_malformed_grid_entry_exits_1(self, dataset_dir, tmp_path, capsys, entry):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"attack": "none"}, entry]))
+        report = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, "eval", "--data", str(dataset_dir),
+                               "--grid", str(grid), "--report", str(report))
+        assert code == 1
+        assert err.startswith("error:")
+        assert not report.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, dataset_dir, tmp_path, capsys, jobs):
         grid = tmp_path / "grid.json"

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sfattack import autodiff as ad
+from sfattack import estimators
+from sfattack.attacks import AttackConfig
 from sfattack.autodiff import Graph, constant
 from sfattack.scene import (
     FlowField,
@@ -29,7 +33,9 @@ from sfattack.estimators import (
     tiny_flow,
     train_tiny,
     zero_flow_aepe,
+    _lower_median_index,
 )
+from sfattack.harness import GridEntry, _run_cell
 from sfattack.synth import DatasetSpec, MotionSpec, make_dataset, make_pair
 
 
@@ -133,6 +139,75 @@ class TestSinkhorn:
         assert (np.abs(analytic - fd) / denom).max() < 1e-4
 
 
+def _rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestFusedSinkhorn:
+    @pytest.mark.parametrize("iters", [1, 30])
+    @pytest.mark.parametrize("shape", [(6, 6), (5, 9), (9, 4)],
+                             ids=["square", "wide", "tall"])
+    def test_matches_unrolled(self, unrolled_sinkhorn, shape, iters):
+        rng = np.random.default_rng(10 * shape[0] + shape[1] + iters)
+        base = rng.uniform(0.0, 2.0, size=shape)
+        w = constant(rng.normal(size=shape))
+        out = []
+        for fn in (sinkhorn, unrolled_sinkhorn):
+            g = Graph()
+            leaf = g.leaf(base)
+            plan = fn(leaf, 0.1, iters)
+            out.append((plan.data, ad.backward(ad.tmean(ad.mul(plan, w)))[leaf.node_id]))
+        (plan, grad), (ref_plan, ref_grad) = out
+        assert np.array_equal(plan, ref_plan)
+        assert _rel_err(grad, ref_grad) < 1e-12
+
+    def test_one_tape_node(self):
+        g = Graph()
+        sinkhorn(g.leaf(np.random.default_rng(0).uniform(size=(4, 5))), 0.1, 30)
+        tags = [node.tag for node in g._nodes]
+        assert tags.count("sinkhorn") == 1
+        assert "row-sum" not in tags
+
+    @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])
+    def test_ot_estimator_matches_unrolled(self, monkeypatch, unrolled_sinkhorn,
+                                           with_color):
+        pair = make_pair(64, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0),
+                                        noise_sigma=0.01), with_color, seed=5)
+
+        def loss_and_grads():
+            g = Graph()
+            pos1 = g.leaf(pair.pc1.positions)
+            col1 = g.leaf(pair.pc1.colors) if with_color else None
+            leaves = [t for t in (pos1, col1) if t is not None]
+            loss = epe_loss(OTEstimator().flow_tensor(pos1, col1, pair), pair.gt_flow)
+            grads = ad.backward(loss)
+            return loss.data, [grads[t.node_id] for t in leaves]
+
+        loss, grads = loss_and_grads()
+        monkeypatch.setattr(estimators, "sinkhorn", unrolled_sinkhorn)
+        ref_loss, ref_grads = loss_and_grads()
+        assert np.array_equal(loss, ref_loss)
+        for grad, ref in zip(grads, ref_grads):
+            assert _rel_err(grad, ref) < 1e-12
+            assert np.array_equal(np.sign(grad), np.sign(ref))
+
+    def test_memory_bounded_in_n(self):
+        # the unrolled tape held about 130 N x M arrays for one pass
+        pair = make_pair(256, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
+                         with_color=True, seed=0)
+        nm_bytes = pair.pc1.n_points * pair.pc2.n_points * 8
+        tracemalloc.start()
+        try:
+            g = Graph()
+            pos1, col1 = g.leaf(pair.pc1.positions), g.leaf(pair.pc1.colors)
+            ad.backward(epe_loss(OTEstimator().flow_tensor(pos1, col1, pair),
+                                 pair.gt_flow))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * nm_bytes
+
+
 class TestMedianScale:
     def test_median_entry_becomes_one(self):
         cost = np.array([[4.0, 1.0], [9.0, 16.0]])
@@ -143,6 +218,42 @@ class TestMedianScale:
     def test_zero_cost_left_alone(self):
         cost = np.zeros((2, 2))
         assert np.array_equal(median_scale(constant(cost)).data, cost)
+
+    def test_pick_matches_stable_argsort(self):
+        rng = np.random.default_rng(11)
+        for case in range(20_000):
+            vals = rng.integers(-2, 3, size=rng.integers(1, 7, size=2)).astype(float)
+            if case % 2:
+                vals[rng.random(vals.shape) < 0.3] = np.inf
+                vals[rng.random(vals.shape) < 0.2] = -np.inf
+            flat = vals.ravel()
+            expect = np.argsort(flat, kind="stable")[(flat.size - 1) // 2]
+            assert _lower_median_index(flat) == expect
+
+    def test_gradient_marks_the_stable_pick(self):
+        # d mean(C / c_rc) is 1/(S c_rc) everywhere but at the picked entry
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            vals = rng.integers(1, 4, size=rng.integers(1, 6, size=2)).astype(float)
+            g = Graph()
+            leaf = g.leaf(vals)
+            grad = ad.backward(ad.tmean(median_scale(leaf)))[leaf.node_id]
+            expect = np.argsort(vals, axis=None, kind="stable")[(vals.size - 1) // 2]
+            assert np.argmin(grad) == expect
+
+    @pytest.mark.parametrize("n1, nan_rows", [(16, [3]), (1, [0]), (4, [0, 1, 2])],
+                             ids=["one-row", "all-nan", "nan-median"])
+    def test_nan_point_error_record(self, n1, nan_rows):
+        # with most rows NaN the lower median itself is NaN
+        pair = make_pair(16, MotionSpec(angle=0.2), with_color=False, seed=0)
+        pos = pair.pc1.positions[:n1].copy()
+        pos[nan_rows, 1] = np.nan
+        bad = ScenePair(PointCloud(pos), pair.pc2,
+                        FlowField(pair.gt_flow.vectors[:n1]), "nan")
+        rec = _run_cell(bad, OTEstimator(), GridEntry("random", AttackConfig(eps=0.1)),
+                        0.5, 0, False)
+        assert rec.error == "DomainError: cost must be finite"
+        assert np.isnan(rec.epe_after)
 
 
 class TestOTEstimator:

@@ -83,6 +83,15 @@ class TestGrid:
         assert e.config.resolved_alpha() == pytest.approx(0.025)
         assert e.mask_spec() == "dim=1"
 
+    def test_from_dict_every_key(self):
+        e = grid_entry_from_dict({"attack": "pgd", "eps": 1, "iters": 4, "alpha": 1,
+                                  "target": "channel=0", "random_start": True,
+                                  "clamp_colors": False, "random_mode": "rademacher"})
+        assert e.config == AttackConfig(eps=1.0, iters=4, alpha=1.0,
+                                        mask=make_target_mask("channel=0"),
+                                        random_start=True, clamp_colors=False,
+                                        random_mode="rademacher")
+
     def test_none_entry(self):
         assert GridEntry("none").digest() == "none"
         with pytest.raises(ValidationError):
