@@ -9,6 +9,7 @@ flow as a graph tensor so attacks can backpropagate to the first cloud.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -315,9 +316,35 @@ def init_weights(in_dim: int, seed: int, k_neighbors: int = 8) -> TinyNetWeights
 
 def knn_indices(query: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest rows of `points` for each row of `query`."""
-    k = min(k, points.shape[0])
-    d = ((query[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    return np.argsort(d, axis=1, kind="stable")[:, :k]
+    # ((q0 - p0)^2 + (q1 - p1)^2) + (q2 - p2)^2, bitwise what the sum over
+    # an (N, M, 3) difference gives, without building it
+    d = (query[:, 0, None] - points[None, :, 0]) ** 2
+    for axis in (1, 2):
+        d += (query[:, axis, None] - points[None, :, axis]) ** 2
+    return _stable_smallest(d, min(k, points.shape[0]))
+
+
+def _stable_smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """The first k columns of a stable argsort of each row, by partial selection.
+
+    The k smallest of a row are every entry below the kth value plus the
+    lowest-index entries equal to it (NaNs sort last: a NaN kth value ties
+    with every NaN and has every other entry below it).  Only those k are
+    then sorted, stably and from index order, which keeps the ties in the
+    order a full stable sort gives.
+    """
+    kth = np.take_along_axis(d, np.argpartition(d, k - 1, axis=1)[:, k - 1:k], axis=1)
+    below = d < kth
+    ties = d == kth
+    nan_kth = np.isnan(kth[:, 0])
+    if nan_kth.any():
+        ties[nan_kth] = np.isnan(d[nan_kth])
+        below[nan_kth] = ~ties[nan_kth]
+    room = k - np.count_nonzero(below, axis=1, keepdims=True)
+    chosen = below | (ties & (np.cumsum(ties, axis=1) <= room))
+    cand = np.nonzero(chosen)[1].reshape(d.shape[0], k)
+    order = np.argsort(np.take_along_axis(d, cand, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cand, order, axis=1)
 
 
 def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -341,6 +368,46 @@ class TinyNetEstimator(Estimator):
         import hashlib
         blob = save_weights(self.weights)
         return (self.tag, hashlib.sha256(blob).hexdigest()[:12])
+
+
+def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray) -> Tensor:
+    """Softmax attention of each row of e1 over its neighbour rows of e2,
+    recorded as one tape node with a hand-written VJP.
+
+    Row i attends over e2[idx[i, j]], j < k, with the logits
+    -|e1[i] - e2[idx[i, j]]|^2.
+    The forward is the per-neighbour arithmetic of the graph it replaces,
+    operation for operation: logits shifted by their per-row maximum,
+    exponentials and weighted features summed in neighbour order, and the
+    reciprocal as exp(-log(total)).  The VJP is the softmax gradient; it
+    regathers the neighbour rows instead of keeping the (k, N, H) arrays.
+    """
+    v1, v2 = e1.data, e2.data
+    cols = idx.T                                          # (k, N): neighbour j of each row
+    feats = v2[cols]                                      # (k, N, H)
+    diff = v1 - feats
+    logits = (diff * diff).sum(axis=2) * -1.0             # (k, N)
+    # per-row shift: softmax-invariant, keeps exp in range
+    exps = np.exp(logits - np.maximum.reduce(logits))
+    weights = exps * _np_recip(functools.reduce(np.add, exps))
+    attended = functools.reduce(np.add, weights[:, :, None] * feats)
+
+    def vjp(g):
+        feats = v2[cols]
+        # d loss / d logit_j = w_j (<g, f_j> - <g, attended>)
+        glogit = weights * ((feats * g).sum(axis=2) - (g * attended).sum(axis=1))
+        # d logit_j / d e1 = -2 (e1 - f_j) = -d logit_j / d f_j
+        gdiff = np.subtract(v1, feats, out=feats)
+        gdiff *= 2.0 * glogit[:, :, None]
+        g1 = -gdiff.sum(axis=0)
+        gdiff += weights[:, :, None] * g
+        # scatter-add all N·k rows at once, by flat (row, column) slot of e2
+        m, h = v2.shape
+        slots = (cols.reshape(-1, 1) * h + np.arange(h)).ravel()
+        g2 = np.bincount(slots, weights=gdiff.ravel(), minlength=m * h).reshape(m, h)
+        return g1, g2
+
+    return ad._emit("knn-attention", (e1, e2), attended, vjp)
 
 
 def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
@@ -372,30 +439,7 @@ def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
     e2 = encode(f2)                                       # (M, 32)
 
     idx = knn_indices(pos1.data, pair.pc2.positions, k_neighbors)
-    k = idx.shape[1]
-
-    neigh_feats = []
-    logits = []
-    for j in range(k):
-        f2j = ad.gather_rows(e2, idx[:, j])               # (N, 32)
-        d = ad.sub(e1, f2j)
-        logits.append(ad.smul(ad.row_sum(ad.mul(d, d)), -1.0))  # (N, 1)
-        neigh_feats.append(f2j)
-
-    # constant per-row shift: softmax-invariant, keeps exp in range
-    shift = constant(np.maximum.reduce([l.data for l in logits]))
-    exps = [ad.exp(ad.sub(l, shift)) for l in logits]
-    total = exps[0]
-    for e in exps[1:]:
-        total = ad.add(total, e)
-    inv_total = _recip(total)                             # (N, 1)
-
-    attended = None
-    for e, f2j in zip(exps, neigh_feats):
-        wgt = ad.mul(e, inv_total)                        # (N, 1)
-        term = ad.mul(wgt, f2j)
-        attended = term if attended is None else ad.add(attended, term)
-
+    attended = knn_attention(e1, e2, idx)                 # (N, 32)
     h = ad.concat(e1, attended, axis=1)                   # (N, 64)
     h = ad.relu(_affine(h, w3, b3))
     return _affine(h, w4, b4)
@@ -409,6 +453,10 @@ def train_tiny(dataset: list[ScenePair], epochs: int, lr: float, seed: int,
 
     Returns the final weights and the per-epoch mean EPE trace.
     """
+    if epochs < 1:
+        raise ValidationError(f"epochs must be >= 1, got {epochs}")
+    if not (np.isfinite(lr) and lr > 0.0):
+        raise ValidationError(f"lr must be finite and > 0, got {lr}")
     if not dataset:
         raise ValidationError("empty training set")
     for pair in dataset:

@@ -140,7 +140,7 @@ def _rel(before: float, after: float) -> Optional[float]:
     return (after - before) / before
 
 
-def _run_cell(pair: ScenePair, est: Estimator, entry: GridEntry,
+def _run_cell(pair: ScenePair, est: Estimator, label: str, entry: GridEntry,
               base_epe: float, seed: int, timing: bool) -> ExperimentRecord:
     digest = entry.digest()
     rec_seed = _record_seed(seed, pair.id, digest)
@@ -165,7 +165,7 @@ def _run_cell(pair: ScenePair, est: Estimator, entry: GridEntry,
     rel = 0.0 if entry.attack == "none" else (
         None if error else _rel(base_epe, after))
     return ExperimentRecord(
-        pair_id=pair.id, estimator=f"{est.tag}:{est.config_digest()}",
+        pair_id=pair.id, estimator=label,
         attack=entry.attack, mask=entry.mask_spec(),
         eps=cfg.eps if cfg else 0.0, iters=cfg.iters if cfg else 0,
         alpha=cfg.resolved_alpha() if cfg else 0.0, seed=rec_seed,
@@ -188,10 +188,11 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
 
     base = {pair.id: epe(est.estimate(pair), pair.gt_flow) for pair in dataset}
     cells = [(pair, entry) for pair in dataset for entry in grid]
+    label = f"{est.tag}:{est.config_digest()}"  # hashes the tiny net's weights
 
     def run(cell):
         pair, entry = cell
-        return _run_cell(pair, est, entry, base[pair.id], seed, timing)
+        return _run_cell(pair, est, label, entry, base[pair.id], seed, timing)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -10,6 +10,7 @@ noise-free.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
@@ -17,6 +18,15 @@ from typing import Optional
 import numpy as np
 
 from .scene import FlowField, PointCloud, ScenePair, ValidationError, save_sfp, load_sfp
+
+
+def _require_finite(spec, names) -> None:
+    # math.isfinite on each number: numpy calls here would slow make_dataset
+    for name in names:
+        value = getattr(spec, name)
+        values = value if isinstance(value, (tuple, list, np.ndarray)) else (value,)
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -32,6 +42,8 @@ class MotionSpec:
     def __post_init__(self):
         if self.kind not in ("rigid", "deform"):
             raise ValidationError(f"unknown motion kind {self.kind!r}")
+        _require_finite(self, ("axis", "angle", "translation", "deform_amplitude",
+                               "noise_sigma", "drop_fraction"))
         if self.angle != 0.0:
             norm = float(np.linalg.norm(self.axis))
             if abs(norm - 1.0) > 1e-9:
@@ -103,6 +115,8 @@ class DatasetSpec:
     drop_fraction: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, ("angle_range", "translation_scale", "deform_range",
+                               "noise_sigma", "drop_fraction"))
         if self.angle_range[1] < self.angle_range[0]:
             raise ValidationError("empty angle range")
         if self.deform_range[1] < self.deform_range[0]:

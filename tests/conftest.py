@@ -30,3 +30,34 @@ def _unrolled_sinkhorn(cost, reg, iters):
 @pytest.fixture
 def unrolled_sinkhorn():
     return _unrolled_sinkhorn
+
+
+def _looped_attention(e1, e2, idx):
+    """kNN attention built from autodiff primitives, a few nodes per neighbour.
+
+    The per-neighbour loop estimators.knn_attention fuses; the reference for
+    its output and VJP.
+    """
+    neigh_feats = []
+    logits = []
+    for j in range(idx.shape[1]):
+        f2j = ad.gather_rows(e2, idx[:, j])               # (N, H)
+        d = ad.sub(e1, f2j)
+        logits.append(ad.smul(ad.row_sum(ad.mul(d, d)), -1.0))  # (N, 1)
+        neigh_feats.append(f2j)
+    shift = constant(np.maximum.reduce([l.data for l in logits]))
+    exps = [ad.exp(ad.sub(l, shift)) for l in logits]
+    total = exps[0]
+    for e in exps[1:]:
+        total = ad.add(total, e)
+    inv_total = _recip(total)                             # (N, 1)
+    attended = None
+    for e, f2j in zip(exps, neigh_feats):
+        term = ad.mul(ad.mul(e, inv_total), f2j)
+        attended = term if attended is None else ad.add(attended, term)
+    return attended
+
+
+@pytest.fixture
+def looped_attention():
+    return _looped_attention

@@ -45,6 +45,14 @@ class TestGenerate:
         assert pair.pc1.has_colors
 
 
+    def test_non_finite_noise_exits_1(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "generate", "--scenes", "1", "--points", "8",
+                               "--noise", "nan", "--out", str(tmp_path / "d"))
+        assert code == 1
+        assert "noise_sigma" in err
+        assert not (tmp_path / "d").exists()
+
+
 class TestAttack:
     def test_fgsm_roundtrip(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "adv.sfp"
@@ -216,6 +224,19 @@ class TestTrain:
             "--in", str(data / "pair_0000.sfp"),
             "--out", str(tmp_path / "adv.sfp"))
         assert code == 0
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--epochs", "-3"),
+        ("--lr", "0"), ("--lr", "-0.1"), ("--lr", "nan"), ("--lr", "inf"),
+    ], ids=["epochs-0", "epochs-neg", "lr-0", "lr-neg", "lr-nan", "lr-inf"])
+    def test_bad_epochs_or_lr_exits_1(self, dataset_dir, tmp_path, capsys, flag, value):
+        model = tmp_path / "model.sftn"
+        code, _, err = run_cli(capsys, "train", "--data", str(dataset_dir),
+                               flag, value, "--out", str(model))
+        assert code == 1
+        assert err.startswith(f"error: {flag[2:]} must be")
+        assert not model.exists()
 
 
 class TestGradcheckCmd:

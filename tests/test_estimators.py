@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from sfattack.estimators import (
     epe,
     epe_loss,
     init_weights,
+    knn_attention,
     knn_indices,
     load_weights,
     median_scale,
@@ -34,6 +36,7 @@ from sfattack.estimators import (
     train_tiny,
     zero_flow_aepe,
     _lower_median_index,
+    _stable_smallest,
 )
 from sfattack.harness import GridEntry, _run_cell
 from sfattack.synth import DatasetSpec, MotionSpec, make_dataset, make_pair
@@ -250,8 +253,8 @@ class TestMedianScale:
         pos[nan_rows, 1] = np.nan
         bad = ScenePair(PointCloud(pos), pair.pc2,
                         FlowField(pair.gt_flow.vectors[:n1]), "nan")
-        rec = _run_cell(bad, OTEstimator(), GridEntry("random", AttackConfig(eps=0.1)),
-                        0.5, 0, False)
+        rec = _run_cell(bad, OTEstimator(), "ot:test",
+                        GridEntry("random", AttackConfig(eps=0.1)), 0.5, 0, False)
         assert rec.error == "DomainError: cost must be finite"
         assert np.isnan(rec.epe_after)
 
@@ -361,6 +364,128 @@ class TestTinyNet:
         pred = tiny_flow(pos1, None, pair, [constant(a) for a in w.arrays()], 8)
         grads = ad.backward(epe_loss(pred, pair.gt_flow))
         assert np.abs(grads[pos1.node_id]).max() > 0.0
+
+
+def _attention_leaves(n, m, seed):
+    rng = np.random.default_rng(seed)
+    q, p = rng.uniform(-1, 1, size=(n, 3)), rng.uniform(-1, 1, size=(m, 3))
+    return rng.normal(size=(n, HIDDEN)), rng.normal(size=(m, HIDDEN)), q, p
+
+
+class TestKnnAttention:
+    @pytest.mark.parametrize("n, m, k", [(9, 9, 1), (12, 7, 8), (5, 11, 8), (6, 4, 10)],
+                             ids=["k1", "tall", "wide", "k-clamped"])
+    def test_matches_looped(self, looped_attention, n, m, k):
+        e1, e2, q, p = _attention_leaves(n, m, seed=n * m + k)
+        idx = knn_indices(q, p, k)
+        w = constant(np.random.default_rng(k).normal(size=(n, HIDDEN)))
+        out = []
+        for fn in (knn_attention, looped_attention):
+            g = Graph()
+            t1, t2 = g.leaf(e1), g.leaf(e2)
+            att = fn(t1, t2, idx)
+            grads = ad.backward(ad.tmean(ad.mul(att, w)))
+            out.append((att.data, grads[t1.node_id], grads[t2.node_id]))
+        (att, g1, g2), (ref_att, ref_g1, ref_g2) = out
+        assert np.array_equal(att, ref_att)
+        for grad, ref in ((g1, ref_g1), (g2, ref_g2)):
+            # with k = 1 the weights are constant 1 and e1's gradient is 0
+            assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_one_node_with_constant_e2(self):
+        e1, e2, q, p = _attention_leaves(6, 8, seed=3)
+        g = Graph()
+        t1 = g.leaf(e1)
+        loss = ad.tmean(knn_attention(t1, constant(e2), knn_indices(q, p, 3)))
+        assert [node.tag for node in g._nodes] == ["leaf", "knn-attention", "mean"]
+        assert np.abs(ad.backward(loss)[t1.node_id]).max() > 0.0
+
+    @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])
+    def test_tiny_flow_matches_looped(self, monkeypatch, looped_attention, with_color):
+        pair = make_pair(24, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0),
+                                        noise_sigma=0.02, drop_fraction=0.25),
+                         with_color, seed=6)
+        w = init_weights(6 if with_color else 3, seed=7)
+
+        def flow_and_grads():
+            g = Graph()
+            pos1 = g.leaf(pair.pc1.positions)
+            col1 = g.leaf(pair.pc1.colors) if with_color else None
+            params = [g.leaf(a) for a in w.arrays()]
+            pred = tiny_flow(pos1, col1, pair, params, w.k_neighbors)
+            grads = ad.backward(epe_loss(pred, pair.gt_flow))
+            leaves = [t for t in (pos1, col1) if t is not None] + params
+            return pred.data, [grads[t.node_id] for t in leaves]
+
+        pred, grads = flow_and_grads()
+        monkeypatch.setattr(estimators, "knn_attention", looped_attention)
+        ref_pred, ref_grads = flow_and_grads()
+        assert np.array_equal(pred, ref_pred)
+        for grad, ref in zip(grads, ref_grads):
+            assert _rel_err(grad, ref) < 1e-12
+            assert np.array_equal(np.sign(grad), np.sign(ref))
+
+    @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])
+    def test_training_matches_looped(self, monkeypatch, looped_attention, with_color):
+        ds = DatasetSpec(n_points=16, with_color=with_color, angle_range=(0.0, 0.2),
+                         translation_scale=0.15)
+        data = make_dataset(8, ds, seed=21)
+        weights, trace = train_tiny(data, epochs=4, lr=0.1, seed=2)
+        monkeypatch.setattr(estimators, "knn_attention", looped_attention)
+        ref_weights, ref_trace = train_tiny(data, epochs=4, lr=0.1, seed=2)
+        # gradients agree to rounding, which the 32-bit weight file absorbs
+        assert save_weights(weights) == save_weights(ref_weights)
+        assert np.abs(np.subtract(trace, ref_trace)).max() <= 1e-12 * max(ref_trace)
+
+    def test_attack_pass_tape(self):
+        # the per-neighbour loop recorded 97 nodes per pass
+        pair = make_pair(32, MotionSpec(angle=0.2), with_color=False, seed=8)
+        est = TinyNetEstimator(init_weights(3, seed=0))
+        g = Graph()
+        epe_loss(est.flow_tensor(g.leaf(pair.pc1.positions), None, pair), pair.gt_flow)
+        tags = [node.tag for node in g._nodes]
+        assert len(tags) <= 20
+        assert tags.count("knn-attention") == 1
+        assert "gather-rows" not in tags and "row-sum" not in tags
+
+
+class TestKnnSelection:
+    def test_matches_stable_argsort(self):
+        rng = np.random.default_rng(13)
+        for case in range(20_000):
+            d = rng.integers(-2, 3, size=rng.integers(1, 9, size=2)).astype(float)
+            if case % 2:
+                d[rng.random(d.shape) < 0.3] = np.inf
+                d[rng.random(d.shape) < 0.2] = -np.inf
+            if case % 5 == 4:
+                d[rng.random(d.shape) < 0.2] = np.nan
+            k = int(rng.integers(1, d.shape[1] + 1))
+            expect = np.argsort(d, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_stable_smallest(d, k), expect)
+
+    @pytest.mark.parametrize("kind", ["integer", "huge", "permuted"])
+    def test_clouds_match_stable_argsort(self, kind):
+        # integer clouds tie often; at 1e200 most distances overflow to inf.
+        # The six coordinate permutations of one vector, seen from the
+        # origin, differ in distance only by rounding, so their order needs
+        # the distances bit for bit (scales 1e-3..1e3).
+        rng = np.random.default_rng(14)
+
+        def clouds():
+            if kind == "permuted":
+                v = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+                return np.zeros((1, 3)), v[list(itertools.permutations(range(3)))]
+            scale = 1e200 if kind == "huge" else 1.0
+            return tuple(rng.integers(-2, 3, size=(rng.integers(1, 10), 3)) * scale
+                         for _ in range(2))
+
+        with np.errstate(over="ignore"):
+            for _ in range(500):
+                q, p = clouds()
+                d = ((q[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
+                for k in (1, 3, 8, 12):
+                    expect = np.argsort(d, axis=1, kind="stable")[:, :k]
+                    assert np.array_equal(knn_indices(q, p, k), expect)
 
 
 class TestWeightFile:

@@ -49,10 +49,15 @@ class CountingEstimator(OTEstimator):
     def __init__(self):
         super().__init__(OTConfig(sinkhorn_iters=5))
         self.flow_calls = 0
+        self.digest_calls = 0
 
     def flow_tensor(self, pos1, col1, pair):
         self.flow_calls += 1
         return super().flow_tensor(pos1, col1, pair)
+
+    def config_digest(self):
+        self.digest_calls += 1
+        return super().config_digest()
 
 
 @pytest.fixture
@@ -181,9 +186,17 @@ class TestRunExperiment:
     def test_forward_passes_per_cell(self, small_dataset, counting_est, entry, calls):
         # one forward per gradient step plus one to score the attacked cloud;
         # the clean EPE comes in as base_epe
-        rec = _run_cell(small_dataset[0], counting_est, entry, 0.1, seed=0, timing=False)
+        rec = _run_cell(small_dataset[0], counting_est, "ot:test", entry, 0.1,
+                        seed=0, timing=False)
         assert rec.error is None
+        assert rec.estimator == "ot:test"
         assert counting_est.flow_calls == calls
+
+    def test_digest_once_per_run(self, small_dataset, small_grid, counting_est):
+        report = run_experiment(small_dataset, counting_est, small_grid, seed=0)
+        assert counting_est.digest_calls == 1
+        label = f"ot:{OTEstimator(OTConfig(sinkhorn_iters=5)).config_digest()}"
+        assert {r.estimator for r in report.records} == {label}
 
     def test_requires_gt(self, small_dataset, small_grid):
         from sfattack.scene import ScenePair

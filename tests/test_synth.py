@@ -57,6 +57,15 @@ class TestMotion:
         with pytest.raises(ValidationError):
             MotionSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("axis", (np.nan, 0.0, 1.0)), ("angle", np.inf), ("angle", np.nan),
+        ("translation", (0.0, np.inf, 0.0)), ("deform_amplitude", np.inf),
+        ("noise_sigma", np.nan), ("noise_sigma", np.inf), ("drop_fraction", np.nan),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            MotionSpec(**{field: value})
+
 
 class TestMakePair:
     def test_gt_is_exact_despite_noise(self):
@@ -144,3 +153,13 @@ class TestDataset:
             DatasetSpec(translation_scale=-1.0)
         with pytest.raises(ValidationError):
             make_dataset(0, DatasetSpec(), seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("angle_range", (0.0, np.inf)), ("angle_range", (np.nan, 0.3)),
+        ("deform_range", (0.0, np.nan)), ("translation_scale", np.inf),
+        ("translation_scale", np.nan), ("noise_sigma", np.nan),
+        ("drop_fraction", np.nan),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            DatasetSpec(**{field: value})
