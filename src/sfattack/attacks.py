@@ -20,6 +20,9 @@ from .estimators import Estimator, epe_loss
 from .scene import PointCloud, ScenePair, ValidationError
 
 AUTO = "auto"
+# Upper bound on AttackConfig.iters: one PGD step is a forward and a backward
+# pass, so a mistyped count (1000000000) would otherwise run for hours.
+MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,8 @@ class AttackConfig:
             raise ValidationError("eps must be finite and > 0")
         if self.iters < 1:
             raise ValidationError("iters must be >= 1")
+        if self.iters > MAX_ITERS:
+            raise ValidationError(f"iters must be <= {MAX_ITERS}, got {self.iters}")
         if self.alpha != AUTO:
             a = float(self.alpha)
             if not (np.isfinite(a) and a > 0.0):
@@ -108,18 +113,43 @@ class AttackResult:
     delta: np.ndarray
 
 
-def _masked_grad(pair: ScenePair, est: Estimator, cfg: AttackConfig,
-                 pos1_val, col1_val) -> np.ndarray:
-    """Gradient of the EPE against the fixed ground truth at (pos1_val,
-    col1_val), taken on the masked domain and zeroed off the masked axes."""
+def _loss_and_grads(pair: ScenePair, est: Estimator, pos1_val, col1_val):
+    """(EPE, position gradient, colour gradient) at (pos1_val, col1_val).
+
+    One forward and one backward pass with positions and colours (when
+    present) as leaves; the colour gradient is None without colours.  The
+    EPE is against the fixed ground truth and bitwise what
+    epe(est.estimate(...), gt_flow) gives for the same cloud.
+    """
     if pair.gt_flow is None:
         raise ValidationError("attack requires a pair with gt_flow")
     g = Graph()
     pos1 = g.leaf(pos1_val)
     col1 = g.leaf(col1_val) if col1_val is not None else None
     loss = epe_loss(est.flow_tensor(pos1, col1, pair), pair.gt_flow)
-    leaf = pos1 if cfg.mask.domain == "positions" else col1
-    return ad.backward(loss)[leaf.node_id] * cfg.mask.axis_row()
+    grads = ad.backward(loss)
+    return (float(loss.data), grads[pos1.node_id],
+            grads[col1.node_id] if col1 is not None else None)
+
+
+def clean_pass(pair: ScenePair, est: Estimator):
+    """(EPE, position gradient, colour gradient) at the unperturbed first
+    cloud, from one forward and one backward pass (see _loss_and_grads).
+
+    FGSM under every mask, and PGD's first step without a random start,
+    differentiate this same point, so a caller that runs several of them on
+    one pair can run it once and hand it to each (fgsm_sf/pgd_sf `clean`).
+    """
+    pc1 = pair.pc1
+    return _loss_and_grads(pair, est, pc1.positions,
+                          pc1.colors if pc1.has_colors else None)
+
+
+def _masked(cfg: AttackConfig, grads) -> np.ndarray:
+    """The masked domain's gradient of a _loss_and_grads result, zeroed off
+    the masked axes."""
+    _, gpos, gcol = grads
+    return (gpos if cfg.mask.domain == "positions" else gcol) * cfg.mask.axis_row()
 
 
 def _domain_values(pair: ScenePair, cfg: AttackConfig):
@@ -138,23 +168,28 @@ def _result(pair: ScenePair, cfg: AttackConfig, adv_domain: np.ndarray) -> Attac
     return AttackResult(adv_pc1=adv_pc1, delta=adv_domain - base)
 
 
-def fgsm_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig) -> AttackResult:
+def fgsm_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
+            clean=None) -> AttackResult:
     """One-step signed-gradient attack: delta = eps * sign(grad), sign(0)=0.
 
     This is pgd_sf's single step; cfg.iters, alpha and random_start are ignored.
     """
-    return pgd_sf(pair, est, replace(cfg, iters=1, alpha=cfg.eps, random_start=False))
+    return pgd_sf(pair, est, replace(cfg, iters=1, alpha=cfg.eps, random_start=False),
+                  clean=clean)
 
 
 def pgd_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
-           seed: int = 0) -> AttackResult:
+           seed: int = 0, clean=None) -> AttackResult:
     """Iterated signed-gradient ascent projected onto the eps box around pc1.
 
     At iters=1, alpha=eps and no random start this is FGSM; fgsm_sf calls
     it with those settings.  The gradient (and any hard neighbor selection
     inside the estimator) is recomputed from the current iterate at every
-    step, one forward and one backward pass each.  Only the perturbed cloud
-    is returned; callers score it with epe(est.estimate(...), gt_flow).
+    step, one forward and one backward pass each.  Without a random start,
+    step 0 differentiates the clean cloud; `clean`, the clean_pass result
+    for this pair and estimator, replaces that pass when given.  Only the
+    perturbed cloud is returned; callers score it with
+    epe(est.estimate(...), gt_flow).
     """
     cfg.mask.check(pair)
     pos, col, base = _domain_values(pair, cfg)
@@ -171,11 +206,13 @@ def pgd_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
         if clamp:
             x = np.clip(x, 0.0, 1.0)
 
-    for _ in range(cfg.iters):
-        if is_color:
-            grad = _masked_grad(pair, est, cfg, pos, x)
+    for step in range(cfg.iters):
+        if step == 0 and clean is not None and not cfg.random_start:
+            grad = _masked(cfg, clean)
+        elif is_color:
+            grad = _masked(cfg, _loss_and_grads(pair, est, pos, x))
         else:
-            grad = _masked_grad(pair, est, cfg, x, col)
+            grad = _masked(cfg, _loss_and_grads(pair, est, x, col))
         # grad is already zero off the masked axes, so those entries never move
         if is_color:
             x = np.clip(x + alpha * np.sign(grad), base - cfg.eps, base + cfg.eps)

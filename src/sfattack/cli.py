@@ -7,10 +7,11 @@ import json
 import sys
 from pathlib import Path
 
-from .attacks import AttackConfig, fgsm_sf, make_target_mask, pgd_sf, random_attack
+from .attacks import (AttackConfig, clean_pass, fgsm_sf, make_target_mask, pgd_sf,
+                      random_attack)
 from .estimators import (OTConfig, OTEstimator, TinyNetEstimator, epe,
                          load_weights, save_weights, train_tiny)
-from .harness import load_grid, run_experiment, write_report
+from .harness import GridEntry, load_grid, run_experiment, write_report
 from .scene import (FlowField, FormatError, ScenePair,
                     ValidationError, load_sfp, save_sfp)
 from .synth import DatasetSpec, load_dataset, make_dataset, write_dataset
@@ -122,16 +123,20 @@ def _cmd_attack(args) -> int:
     cfg = AttackConfig(eps=args.eps, iters=iters, alpha=alpha,
                        mask=make_target_mask(args.target),
                        random_start=args.random_start)
+    clean = None
+    if GridEntry(args.attack, cfg).steps_from_clean():
+        cfg.mask.check(pair)
+        clean = clean_pass(pair, est)  # the first step's gradient and `before`
     if args.attack == "fgsm":
-        result = fgsm_sf(pair, est, cfg)
+        result = fgsm_sf(pair, est, cfg, clean=clean)
     elif args.attack == "pgd":
-        result = pgd_sf(pair, est, cfg, seed=args.seed)
+        result = pgd_sf(pair, est, cfg, seed=args.seed, clean=clean)
     else:
         result = random_attack(pair, cfg, seed=args.seed)
     if pair.gt_flow is None:  # fgsm and pgd have already raised this
         raise ValidationError("attack requires a pair with gt_flow")
     adv_pair = ScenePair(result.adv_pc1, pair.pc2, pair.gt_flow, pair.id + "_adv")
-    before = epe(est.estimate(pair), pair.gt_flow)
+    before = clean[0] if clean is not None else epe(est.estimate(pair), pair.gt_flow)
     after = epe(est.estimate(adv_pair), pair.gt_flow)
     Path(args.out).write_bytes(save_sfp(adv_pair))
     summary = {
@@ -214,7 +219,8 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, FormatError, ValueError) as exc:
+    except (ValidationError, FormatError, ValueError,
+            FileNotFoundError, IsADirectoryError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

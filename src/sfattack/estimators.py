@@ -380,9 +380,11 @@ def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray) -> Tensor:
     operation for operation: logits shifted by their per-row maximum,
     exponentials and weighted features summed in neighbour order, and the
     reciprocal as exp(-log(total)).  The VJP is the softmax gradient; it
-    regathers the neighbour rows instead of keeping the (k, N, H) arrays.
+    regathers the neighbour rows instead of keeping the (k, N, H) arrays,
+    and skips e2's scatter when e2 is a constant (as in an attack pass).
     """
     v1, v2 = e1.data, e2.data
+    e2_constant = e2.graph is None
     cols = idx.T                                          # (k, N): neighbour j of each row
     feats = v2[cols]                                      # (k, N, H)
     diff = v1 - feats
@@ -400,6 +402,8 @@ def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray) -> Tensor:
         gdiff = np.subtract(v1, feats, out=feats)
         gdiff *= 2.0 * glogit[:, :, None]
         g1 = -gdiff.sum(axis=0)
+        if e2_constant:
+            return g1, None
         gdiff += weights[:, :, None] * g
         # scatter-add all N·k rows at once, by flat (row, column) slot of e2
         m, h = v2.shape
@@ -411,12 +415,15 @@ def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
-              w: list[Tensor], k_neighbors: int) -> Tensor:
+              w: list[Tensor], k_neighbors: int,
+              idx: Optional[np.ndarray] = None) -> Tensor:
     """Differentiable tiny-net forward with explicit weight tensors.
 
     Neighbor indices are hard (recomputed from the current, possibly
     perturbed, first-cloud positions against the unperturbed second cloud);
-    gradients flow through the attention logits only.
+    gradients flow through the attention logits only.  `idx` passes in
+    knn_indices(pos1.data, pair.pc2.positions, k_neighbors) when the caller
+    already has it.
     """
     w1, b1, w2, b2, w3, b3, w4, b4 = w
     in_dim = w1.shape[0]
@@ -438,7 +445,8 @@ def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
     e1 = encode(f1)                                       # (N, 32)
     e2 = encode(f2)                                       # (M, 32)
 
-    idx = knn_indices(pos1.data, pair.pc2.positions, k_neighbors)
+    if idx is None:
+        idx = knn_indices(pos1.data, pair.pc2.positions, k_neighbors)
     attended = knn_attention(e1, e2, idx)                 # (N, 32)
     h = ad.concat(e1, attended, axis=1)                   # (N, 64)
     h = ad.relu(_affine(h, w3, b3))
@@ -459,28 +467,35 @@ def train_tiny(dataset: list[ScenePair], epochs: int, lr: float, seed: int,
         raise ValidationError(f"lr must be finite and > 0, got {lr}")
     if not dataset:
         raise ValidationError("empty training set")
+    with_color = dataset[0].pc1.has_colors
     for pair in dataset:
         if pair.gt_flow is None:
             raise ValidationError(f"pair {pair.id} lacks gt_flow")
-    with_color = dataset[0].pc1.has_colors
+        if pair.pc1.has_colors != with_color:
+            raise ValidationError(
+                f"pair {pair.id} {'lacks' if with_color else 'has'} colors, unlike "
+                f"{dataset[0].id}: a training set is all plain or all colored")
     weights = init_weights(6 if with_color else 3, seed, k_neighbors)
     arrays = [a.copy() for a in weights.arrays()]
     rng = np.random.default_rng(seed)
     trace = []
     batch_size = 4
+    # neither cloud moves during training, so neither do the neighbours
+    neighbours = [knn_indices(p.pc1.positions, p.pc2.positions, k_neighbors)
+                  for p in dataset]
 
     for epoch in range(epochs):
         order = rng.permutation(len(dataset))
         epoch_losses = []
         for start in range(0, len(dataset), batch_size):
-            batch = [dataset[i] for i in order[start:start + batch_size]]
+            batch = [(dataset[i], neighbours[i]) for i in order[start:start + batch_size]]
             g = Graph()
             w = [g.leaf(a) for a in arrays]
             loss = None
-            for pair in batch:
+            for pair, idx in batch:
                 pos1 = constant(pair.pc1.positions)
                 col1 = constant(pair.pc1.colors) if with_color else None
-                pred = tiny_flow(pos1, col1, pair, w, k_neighbors)
+                pred = tiny_flow(pos1, col1, pair, w, k_neighbors, idx=idx)
                 term = epe_loss(pred, pair.gt_flow)
                 loss = term if loss is None else ad.add(loss, term)
             loss = ad.smul(loss, 1.0 / len(batch))

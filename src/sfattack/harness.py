@@ -14,8 +14,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .attacks import (AUTO, AttackConfig, fgsm_sf, make_target_mask, pgd_sf,
-                      random_attack)
+from .attacks import (AUTO, AttackConfig, clean_pass, fgsm_sf, make_target_mask,
+                      pgd_sf, random_attack)
+from .autodiff import DomainError
 from .estimators import Estimator, epe
 from .scene import FlowField, ScenePair, ValidationError
 
@@ -46,6 +47,11 @@ class GridEntry:
 
     def mask_spec(self) -> str:
         return self.config.mask.spec_string() if self.config else "-"
+
+    def steps_from_clean(self) -> bool:
+        """Whether the attack's first gradient is the clean cloud's."""
+        return self.attack == "fgsm" or (
+            self.attack == "pgd" and not self.config.random_start)
 
 
 _NUMBER = (int, float)  # exact JSON types: a bool is not a number here
@@ -141,7 +147,10 @@ def _rel(before: float, after: float) -> Optional[float]:
 
 
 def _run_cell(pair: ScenePair, est: Estimator, label: str, entry: GridEntry,
-              base_epe: float, seed: int, timing: bool) -> ExperimentRecord:
+              base_epe: float, seed: int, timing: bool,
+              clean=None) -> ExperimentRecord:
+    """One grid cell of one pair.  `clean` is the pair's clean_pass, or None
+    to let an FGSM or PGD cell run it itself."""
     digest = entry.digest()
     rec_seed = _record_seed(seed, pair.id, digest)
     cfg = entry.config
@@ -151,9 +160,9 @@ def _run_cell(pair: ScenePair, est: Estimator, label: str, entry: GridEntry,
     try:
         if entry.attack != "none":
             if entry.attack == "fgsm":
-                result = fgsm_sf(pair, est, cfg)
+                result = fgsm_sf(pair, est, cfg, clean=clean)
             elif entry.attack == "pgd":
-                result = pgd_sf(pair, est, cfg, seed=rec_seed)
+                result = pgd_sf(pair, est, cfg, seed=rec_seed, clean=clean)
             else:
                 result = random_attack(pair, cfg, seed=rec_seed)
             adv_pair = replace(pair, pc1=result.adv_pc1)
@@ -186,13 +195,22 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
         if pair.gt_flow is None:
             raise ValidationError(f"pair {pair.id} lacks gt_flow")
 
-    base = {pair.id: epe(est.estimate(pair), pair.gt_flow) for pair in dataset}
+    # One clean forward+backward per pair serves every cell that steps from
+    # the clean cloud, and its loss is the baseline EPE.  Computed here, before
+    # any thread starts, so records do not depend on `jobs`.
+    use_clean = any(entry.steps_from_clean() for entry in grid)
+    clean, base = {}, {}
+    for pair in dataset:
+        clean[pair.id] = _clean_or_none(pair, est) if use_clean else None
+        base[pair.id] = (clean[pair.id][0] if clean[pair.id] is not None
+                         else epe(est.estimate(pair), pair.gt_flow))
     cells = [(pair, entry) for pair in dataset for entry in grid]
     label = f"{est.tag}:{est.config_digest()}"  # hashes the tiny net's weights
 
     def run(cell):
         pair, entry = cell
-        return _run_cell(pair, est, label, entry, base[pair.id], seed, timing)
+        return _run_cell(pair, est, label, entry, base[pair.id], seed, timing,
+                         clean[pair.id])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -209,6 +227,16 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
                       "aggregation": "per-scene-then-mean",
                       "timing": timing,
                   })
+
+
+def _clean_or_none(pair: ScenePair, est: Estimator):
+    """clean_pass, or None for a non-finite cloud, which cannot be a graph
+    leaf: the baseline then comes from a forward-only pass, and each FGSM
+    or PGD cell records the failure of its own first step."""
+    try:
+        return clean_pass(pair, est)
+    except DomainError:
+        return None
 
 
 def aggregate(records: list[ExperimentRecord]) -> list[dict]:

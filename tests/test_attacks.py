@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from sfattack.attacks import (
+    MAX_ITERS,
     AttackConfig,
     TargetMask,
     check_feasibility,
+    clean_pass,
     fgsm_sf,
     make_target_mask,
     pgd_sf,
     random_attack,
 )
-from sfattack.estimators import Estimator, OTConfig, OTEstimator, epe, epe_loss
+from sfattack.estimators import (Estimator, OTConfig, OTEstimator, TinyNetEstimator,
+                                 epe, epe_loss, init_weights)
 from sfattack.scene import FlowField, PointCloud, ScenePair, ValidationError
 from sfattack.synth import MotionSpec, make_pair
 from sfattack import autodiff as ad
@@ -114,6 +117,12 @@ class TestAttackConfig:
         with pytest.raises(ValidationError):
             AttackConfig(eps=0.1, random_mode="gaussian")
 
+    def test_iters_cap(self):
+        assert AttackConfig(eps=0.1, iters=MAX_ITERS).iters == 10_000
+        for iters in (MAX_ITERS + 1, 10**9, 10**400):
+            with pytest.raises(ValidationError, match="iters must be <= 10000"):
+                AttackConfig(eps=0.1, iters=iters)
+
 
 class TestFgsm:
     def test_requires_gt(self):
@@ -211,6 +220,61 @@ class TestPgd:
         cfg = AttackConfig(eps=0.6, iters=5, mask=TargetMask("colors"))
         res = pgd_sf(pair, OTEstimator(OTConfig(reg=0.1)), cfg)
         assert check_feasibility(pair, cfg, res) == []
+
+
+def _estimators(in_dim):
+    return [OTEstimator(OTConfig(sinkhorn_iters=10)),
+            TinyNetEstimator(init_weights(in_dim, seed=4))]
+
+
+class TestCleanPass:
+    @pytest.mark.parametrize("color", [False, True], ids=["plain", "color"])
+    def test_loss_is_estimate_epe(self, color):
+        pair = make_pair(20, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.05)),
+                         with_color=color, seed=17)
+        for est in _estimators(6 if color else 3):
+            loss, gpos, gcol = clean_pass(pair, est)
+            assert loss == epe(est.estimate(pair), pair.gt_flow)  # bitwise
+            assert gpos.shape == (20, 3)
+            assert (gcol is not None) == color
+
+    @pytest.mark.parametrize("color", [False, True], ids=["plain", "color"])
+    def test_attacks_match_without_it(self, color):
+        # handing in the clean pass changes no bit of any attack's output;
+        # a random start ignores it
+        pair = make_pair(20, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.05)),
+                         with_color=color, seed=18)
+        specs = ["all-dims", "dim=1", "dim=0,2"]
+        if color:
+            specs += ["all-channels", "channel=2"]
+        for est in _estimators(6 if color else 3):
+            clean = clean_pass(pair, est)
+            for spec in specs:
+                mask = make_target_mask(spec)
+                for cfg in (AttackConfig(eps=0.1, mask=mask),
+                            AttackConfig(eps=0.1, iters=3, mask=mask),
+                            AttackConfig(eps=0.1, iters=2, mask=mask,
+                                         random_start=True)):
+                    runs = [(fgsm_sf(pair, est, cfg), fgsm_sf(pair, est, cfg, clean=clean)),
+                            (pgd_sf(pair, est, cfg, seed=3),
+                             pgd_sf(pair, est, cfg, seed=3, clean=clean))]
+                    for plain_run, shared in runs:
+                        assert shared.delta.tobytes() == plain_run.delta.tobytes()
+                        assert (shared.adv_pc1.positions.tobytes()
+                                == plain_run.adv_pc1.positions.tobytes())
+
+    def test_step_zero_uses_it(self):
+        # the estimator's own gradient is zero; the handed-in one is all +1
+        pair = simple_pair(seed=19)
+        ones = np.ones((pair.pc1.n_points, 3))
+        res = fgsm_sf(pair, ZeroFlowEstimator(), AttackConfig(eps=0.1),
+                      clean=(0.0, ones, ones))
+        assert np.allclose(res.delta, 0.1, rtol=0, atol=1e-15)
+
+    def test_requires_gt(self):
+        pair = simple_pair()
+        with pytest.raises(ValidationError, match="gt_flow"):
+            clean_pass(ScenePair(pair.pc1, pair.pc2, None, "x"), ZeroFlowEstimator())
 
 
 class TestRandomAttack:

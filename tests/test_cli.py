@@ -119,6 +119,31 @@ class TestAttack:
         code, _, _ = run_cli(capsys, "attack", "--attack", "fgsm")
         assert code == 1
 
+    @pytest.mark.parametrize("attack", ["pgd", "random"])
+    def test_iters_above_cap_exits_1(self, dataset_dir, tmp_path, capsys, attack):
+        out = tmp_path / "adv.sfp"
+        code, _, err = run_cli(
+            capsys, "attack", "--attack", attack, "--eps", "0.05",
+            "--iters", "1000000000", "--in", str(dataset_dir / "pair_0000.sfp"),
+            "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: iters must be <= 10000")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--model", "--in"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_exits_1(self, dataset_dir, tmp_path, capsys, flag, kind):
+        bad = tmp_path / "missing.bin" if kind == "missing" else tmp_path
+        args = {"--model": "ot", "--in": str(dataset_dir / "pair_0000.sfp")}
+        args[flag] = f"tiny:{bad}" if flag == "--model" else str(bad)
+        out = tmp_path / "adv.sfp"
+        code, _, err = run_cli(capsys, "attack", "--attack", "fgsm", "--eps", "0.05",
+                               "--model", args["--model"], "--in", args["--in"],
+                               "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and str(bad) in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_grid_run(self, dataset_dir, tmp_path, capsys):
@@ -189,6 +214,25 @@ class TestEval:
         assert err.startswith("error:")
         assert not report.exists()
 
+    def test_iters_above_cap_exits_1(self, dataset_dir, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"attack": "pgd", "eps": 0.05,
+                                     "iters": 1000000000}]))
+        report = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, "eval", "--data", str(dataset_dir),
+                               "--grid", str(grid), "--report", str(report))
+        assert code == 1
+        assert err.startswith("error: iters must be <= 10000")
+        assert not report.exists()
+
+    def test_missing_grid_exits_1(self, dataset_dir, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, _, err = run_cli(capsys, "eval", "--data", str(dataset_dir),
+                               "--grid", str(missing),
+                               "--report", str(tmp_path / "r.json"))
+        assert code == 1
+        assert err.startswith("error: ") and str(missing) in err
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, dataset_dir, tmp_path, capsys, jobs):
         grid = tmp_path / "grid.json"
@@ -239,6 +283,29 @@ class TestTrain:
         assert not model.exists()
 
 
+    @pytest.mark.parametrize("plain_first", [True, False],
+                             ids=["plain-first", "colored-first"])
+    def test_mixed_colors_exits_1(self, dataset_dir, tmp_path, capsys, plain_first):
+        colored = tmp_path / "colored"
+        code, _, _ = run_cli(capsys, "generate", "--scenes", "1", "--points", "24",
+                             "--color", "--out", str(colored))
+        assert code == 0
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        plain_name, colored_name = ("a", "b") if plain_first else ("b", "a")
+        (mixed / f"{plain_name}.sfp").write_bytes(
+            (dataset_dir / "pair_0000.sfp").read_bytes())
+        (mixed / f"{colored_name}.sfp").write_bytes(
+            (colored / "pair_0000.sfp").read_bytes())
+        model = tmp_path / "model.sftn"
+        code, _, err = run_cli(capsys, "train", "--data", str(mixed),
+                               "--epochs", "1", "--out", str(model))
+        assert code == 1
+        word = "has" if plain_first else "lacks"
+        assert err.startswith(f"error: pair b {word} colors, unlike a")
+        assert not model.exists()
+
+
 class TestGradcheckCmd:
     def test_passes_and_repeats(self, capsys):
         code1, out1, _ = run_cli(capsys, "gradcheck", "--seed", "7")
@@ -256,6 +323,18 @@ class TestPlot:
                              "--out", str(out))
         assert code == 0
         assert out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("flag", ["--in", "--flow-a", "--flow-b"])
+    def test_missing_file_exits_1(self, dataset_dir, tmp_path, capsys, flag):
+        src = str(dataset_dir / "pair_0000.sfp")
+        missing = tmp_path / "missing.sfp"
+        files = {"--in": src, "--flow-a": src, "--flow-b": src, flag: str(missing)}
+        out = tmp_path / "flow.svg"
+        code, _, err = run_cli(capsys, "plot", *[x for kv in files.items() for x in kv],
+                               "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and str(missing) in err
+        assert not out.exists()
 
     def test_unknown_model_exits_1(self, dataset_dir, tmp_path, capsys):
         code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -400,6 +401,23 @@ class TestKnnAttention:
         assert [node.tag for node in g._nodes] == ["leaf", "knn-attention", "mean"]
         assert np.abs(ad.backward(loss)[t1.node_id]).max() > 0.0
 
+    @pytest.mark.parametrize("n, m, k", [(12, 7, 8), (5, 11, 3)], ids=["tall", "wide"])
+    def test_constant_e2_skips_scatter(self, n, m, k):
+        # e2's gradient is dropped, and e1's keeps every bit
+        e1, e2, q, p = _attention_leaves(n, m, seed=n + m)
+        idx = knn_indices(q, p, k)
+        g_out = np.random.default_rng(n).normal(size=(n, HIDDEN))
+        vjps = []
+        for track_e2 in (False, True):
+            g = Graph()
+            t1 = g.leaf(e1)
+            t2 = g.leaf(e2) if track_e2 else constant(e2)
+            att = knn_attention(t1, t2, idx)
+            vjps.append(g._nodes[att.node_id].vjp(g_out))
+        (g1, g2), (ref_g1, ref_g2) = vjps
+        assert g2 is None and ref_g2.shape == (m, HIDDEN)
+        assert g1.tobytes() == ref_g1.tobytes()
+
     @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])
     def test_tiny_flow_matches_looped(self, monkeypatch, looped_attention, with_color):
         pair = make_pair(24, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0),
@@ -547,6 +565,41 @@ class TestTraining:
         stripped = ScenePair(pair.pc1, pair.pc2, None, pair.id)
         with pytest.raises(ValidationError):
             train_tiny([stripped], epochs=1, lr=0.1, seed=0)
+
+    @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])
+    def test_neighbours_once_per_run(self, monkeypatch, with_color):
+        # the same weight file and trace as recomputing the neighbours per pass
+        ds = DatasetSpec(n_points=16, with_color=with_color, angle_range=(0.0, 0.2),
+                         translation_scale=0.15, noise_sigma=0.02, drop_fraction=0.2)
+        data = make_dataset(6, ds, seed=22)
+        knn_calls = []
+        knn = estimators.knn_indices
+        monkeypatch.setattr(estimators, "knn_indices",
+                            lambda *a: knn_calls.append(1) or knn(*a))
+        weights, trace = train_tiny(data, epochs=5, lr=0.1, seed=3)
+        assert len(knn_calls) == len(data)
+        flow = estimators.tiny_flow
+        monkeypatch.setattr(estimators, "tiny_flow",
+                            lambda *a, idx=None: flow(*a))
+        knn_calls.clear()
+        ref_weights, ref_trace = train_tiny(data, epochs=5, lr=0.1, seed=3)
+        assert len(knn_calls) == len(data) + 5 * len(data)  # upfront, then per pass
+        assert save_weights(weights) == save_weights(ref_weights)
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("plain_first", [True, False],
+                             ids=["plain-first", "colored-first"])
+    def test_mixed_colors_rejected(self, plain_first):
+        plain = make_pair(8, MotionSpec(), with_color=False, seed=0)
+        colored = make_pair(8, MotionSpec(), with_color=True, seed=1)
+        data = [replace(plain, id="p"), replace(colored, id="c")]
+        if not plain_first:
+            data.reverse()
+        word = "has" if plain_first else "lacks"
+        first = data[0].id
+        with pytest.raises(ValidationError,
+                           match=f"pair {data[1].id} {word} colors, unlike {first}"):
+            train_tiny(data, epochs=1, lr=0.1, seed=0)
 
     def test_zero_flow_aepe(self):
         t = (0.3, 0.0, 0.4)

@@ -6,8 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from sfattack.attacks import AttackConfig, make_target_mask
-from sfattack.estimators import OTConfig, OTEstimator, epe
+from sfattack import autodiff as ad
+from sfattack.attacks import AttackConfig, clean_pass, make_target_mask
+from sfattack.estimators import (OTConfig, OTEstimator, TinyNetEstimator, epe,
+                                 init_weights)
 from sfattack.harness import (
     CSV_HEADER,
     GridEntry,
@@ -32,6 +34,18 @@ def small_dataset():
     ds = DatasetSpec(n_points=24, kind="rigid", angle_range=(0.0, 0.3),
                      translation_scale=0.2)
     return make_dataset(4, ds, seed=21)
+
+
+FGSM = {"attack": "fgsm", "eps": 0.1, "iters": 1, "alpha": 0.1}
+# the directional grid of acceptance criterion 6
+SIX_CELL_GRID = [
+    FGSM,
+    {**FGSM, "target": "dim=0"},
+    {**FGSM, "target": "dim=1"},
+    {**FGSM, "target": "dim=2"},
+    {"attack": "pgd", "eps": 0.1, "iters": 10},
+    {"attack": "random", "eps": 0.1},
+]
 
 
 @pytest.fixture(scope="module")
@@ -176,21 +190,99 @@ class TestRunExperiment:
         assert all(r.error is not None for r in report.records)
         assert report.aggregates == []
 
-    @pytest.mark.parametrize("entry,calls", [
-        (GridEntry("none"), 0),
-        (GridEntry("random", AttackConfig(eps=0.05)), 1),
-        (GridEntry("fgsm", AttackConfig(eps=0.05)), 2),
-        (GridEntry("pgd", AttackConfig(eps=0.05, iters=3)), 4),
-        (GridEntry("pgd", AttackConfig(eps=0.05, iters=3, random_start=True)), 4),
+    @pytest.mark.parametrize("entry,calls,calls_with_clean", [
+        (GridEntry("none"), 0, 0),
+        (GridEntry("random", AttackConfig(eps=0.05)), 1, 1),
+        (GridEntry("fgsm", AttackConfig(eps=0.05)), 2, 1),
+        (GridEntry("pgd", AttackConfig(eps=0.05, iters=3)), 4, 3),
+        (GridEntry("pgd", AttackConfig(eps=0.05, iters=3, random_start=True)), 4, 4),
     ], ids=["none", "random", "fgsm", "pgd", "pgd-random-start"])
-    def test_forward_passes_per_cell(self, small_dataset, counting_est, entry, calls):
+    def test_forward_passes_per_cell(self, small_dataset, counting_est, entry, calls,
+                                     calls_with_clean):
         # one forward per gradient step plus one to score the attacked cloud;
-        # the clean EPE comes in as base_epe
-        rec = _run_cell(small_dataset[0], counting_est, "ot:test", entry, 0.1,
-                        seed=0, timing=False)
-        assert rec.error is None
-        assert rec.estimator == "ot:test"
-        assert counting_est.flow_calls == calls
+        # the clean EPE comes in as base_epe, and a clean pass handed in
+        # replaces the first step's forward unless the start is random
+        pair = small_dataset[0]
+        records = []
+        for clean, expect in ((None, calls),
+                              (clean_pass(pair, counting_est), calls_with_clean)):
+            counting_est.flow_calls = 0
+            records.append(_run_cell(pair, counting_est, "ot:test", entry, 0.1,
+                                     seed=0, timing=False, clean=clean))
+            assert records[-1].error is None
+            assert records[-1].estimator == "ot:test"
+            assert counting_est.flow_calls == expect
+        assert repr(records[0]) == repr(records[1])
+
+    @pytest.mark.parametrize("grid, flows, backwards", [
+        (SIX_CELL_GRID, 16, 10),
+        ([{"attack": "none"}, {"attack": "random", "eps": 0.1}], 2, 0),
+        ([{"attack": "pgd", "eps": 0.1, "iters": 2, "random_start": True}], 4, 2),
+    ], ids=["six-cell", "none-random", "pgd-random-start"])
+    def test_passes_per_pair(self, monkeypatch, small_dataset, counting_est, grid,
+                             flows, backwards):
+        # six-cell grid: one clean fwd+bwd shared by the 4 FGSM cells and PGD's
+        # first step, 9 more PGD steps, and 5 attacked clouds scored.  Without
+        # a cell that steps from the clean cloud, the baseline is forward-only.
+        backward_calls = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward",
+                            lambda root: backward_calls.append(1) or backward(root))
+        run_experiment(small_dataset, counting_est,
+                       [grid_entry_from_dict(e) for e in grid], seed=0)
+        assert counting_est.flow_calls == flows * len(small_dataset)
+        assert len(backward_calls) == backwards * len(small_dataset)
+
+    def test_non_finite_cloud_keeps_cell_errors(self, small_dataset):
+        # the tiny net's forward takes a NaN point, but no graph leaf does:
+        # the run completes and each FGSM/PGD cell records the failure
+        from sfattack.scene import PointCloud, ScenePair
+        pair = small_dataset[0]
+        pos = pair.pc1.positions.copy()
+        pos[2, 1] = np.nan
+        bad = ScenePair(PointCloud(pos), pair.pc2, pair.gt_flow, "nan")
+        grid = [grid_entry_from_dict(e) for e in SIX_CELL_GRID]
+        report = run_experiment([bad], TinyNetEstimator(init_weights(3, seed=5)),
+                                grid, seed=0)
+        errors = [r.error for r in report.records]
+        assert errors.count("DomainError: leaf values must be finite") == 5
+        assert errors.count(None) == 1  # the random cell
+
+    @pytest.mark.parametrize("color", [False, True], ids=["plain", "color"])
+    @pytest.mark.parametrize("kind", ["ot", "tiny"])
+    def test_records_match_cells_without_clean_pass(self, color, kind):
+        # the oracle: every cell runs its own first step and the baseline is
+        # a forward-only pass, as before the clean pass was shared
+        ds = DatasetSpec(n_points=20, with_color=color, angle_range=(0.0, 0.3),
+                         translation_scale=0.2, noise_sigma=0.01)
+        data = make_dataset(3, ds, seed=23)
+        est = (OTEstimator(OTConfig(sinkhorn_iters=8)) if kind == "ot"
+               else TinyNetEstimator(init_weights(6 if color else 3, seed=5)))
+        grid = [grid_entry_from_dict(e) for e in [
+            {"attack": "none"},
+            {"attack": "fgsm", "eps": 0.1},
+            {"attack": "fgsm", "eps": 0.1, "target": "dim=2"},
+            {"attack": "fgsm", "eps": 0.2, "target": "all-channels"},
+            {"attack": "pgd", "eps": 0.2, "iters": 3, "target": "channel=1"},
+            {"attack": "pgd", "eps": 0.1, "iters": 3},
+            {"attack": "pgd", "eps": 0.1, "iters": 2, "random_start": True},
+            {"attack": "pgd", "eps": 0.2, "iters": 2, "random_start": True,
+             "target": "channel=0,2"},
+            {"attack": "random", "eps": 0.1, "random_mode": "rademacher"},
+        ]]
+        label = f"{est.tag}:{est.config_digest()}"
+        expect = []
+        for pair in data:
+            base = epe(est.estimate(pair), pair.gt_flow)
+            expect += [_run_cell(pair, est, label, entry, base, 9, False)
+                       for entry in grid]
+        expect.sort(key=lambda r: (r.pair_id, r.attack, r.mask, r.seed))
+        report = run_experiment(data, est, grid, seed=9, jobs=2)
+        # repr compares floats exactly, NaN included
+        assert [repr(r) for r in report.records] == [repr(r) for r in expect]
+        errors = {r.error for r in report.records} - {None}
+        assert errors == (set() if color else
+                          {"ValidationError: color mask on a pair without colors"})
 
     def test_digest_once_per_run(self, small_dataset, small_grid, counting_est):
         report = run_experiment(small_dataset, counting_est, small_grid, seed=0)
