@@ -134,12 +134,11 @@ class TestAttack:
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_input_exits_1(self, dataset_dir, tmp_path, capsys, flag, kind):
         bad = tmp_path / "missing.bin" if kind == "missing" else tmp_path
-        args = {"--model": "ot", "--in": str(dataset_dir / "pair_0000.sfp")}
-        args[flag] = f"tiny:{bad}" if flag == "--model" else str(bad)
+        model = f"tiny:{bad}" if flag == "--model" else "ot"
+        infile = bad if flag == "--in" else dataset_dir / "pair_0000.sfp"
         out = tmp_path / "adv.sfp"
         code, _, err = run_cli(capsys, "attack", "--attack", "fgsm", "--eps", "0.05",
-                               "--model", args["--model"], "--in", args["--in"],
-                               "--out", str(out))
+                               "--model", model, "--in", str(infile), "--out", str(out))
         assert code == 1
         assert err.startswith("error: ") and str(bad) in err
         assert not out.exists()
