@@ -3,9 +3,12 @@
 A Graph is a tape: operations append nodes in topological order, and
 backward() sweeps the tape once in reverse.  Tensors are thin handles
 around numpy arrays; a tensor either lives on a graph (tracked) or is a
-plain constant.  The primitive set is deliberately small: elementwise
-add/sub/mul, scalar-mul, matmul, exp, log, relu, mean, row-sum,
-concat, gather-rows, rowwise L2 norm, and pairwise squared distances.
+plain constant.  The primitive set is only what the two estimators, the
+EPE loss and the trainer record: elementwise add/sub/mul, scalar-mul,
+matmul, mean, concat, rowwise L2 norm, and pairwise squared distances.
+Four fused nodes with hand-written VJPs go through _emit like any
+primitive; they live in sfattack.estimators next to their callers:
+median-scale, sinkhorn, dense (one tiny-net layer) and knn-attention.
 Only add, sub and mul broadcast: a scalar, (1,1), (1,M), (M,) or (N,1)
 operand meets an (N,M) one, and its gradient is summed back to its shape.
 
@@ -196,27 +199,6 @@ def matmul(a, b) -> Tensor:
                  lambda g: (g @ vb.T, va.T @ g))
 
 
-def exp(a) -> Tensor:
-    a = _coerce(a)
-    value = np.exp(a.data)
-    return _emit("exp", (a,), value, lambda g: (g * value,))
-
-
-def log(a) -> Tensor:
-    a = _coerce(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log requires strictly positive input")
-    va = a.data
-    return _emit("log", (a,), np.log(va), lambda g: (g / va,))
-
-
-def relu(a) -> Tensor:
-    a = _coerce(a)
-    va = a.data
-    mask = va > 0.0
-    return _emit("relu", (a,), np.where(mask, va, 0.0), lambda g: (g * mask,))
-
-
 # -- reductions and shape primitives ------------------------------------
 
 def tmean(a) -> Tensor:
@@ -227,15 +209,6 @@ def tmean(a) -> Tensor:
         raise ShapeError("mean of an empty tensor")
     return _emit("mean", (a,), np.asarray(a.data.mean()),
                  lambda g: (np.full(shape, float(g) / size),))
-
-
-def row_sum(a) -> Tensor:
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError("row-sum expects a matrix")
-    m = a.shape[1]
-    return _emit("row-sum", (a,), a.data.sum(axis=1, keepdims=True),
-                 lambda g: (np.repeat(g, m, axis=1),))
 
 
 def concat(a, b, axis: int = 0) -> Tensor:
@@ -255,25 +228,6 @@ def concat(a, b, axis: int = 0) -> Tensor:
         return ga, gb
 
     return _emit("concat", (a, b), value, vjp)
-
-
-def gather_rows(a, indices) -> Tensor:
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError("gather-rows expects a matrix")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather-rows indices must be a flat list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError("gather-rows index out of range")
-    shape = a.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return _emit("gather-rows", (a,), a.data[idx], vjp)
 
 
 def rownorm(a) -> Tensor:

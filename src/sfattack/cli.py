@@ -11,7 +11,7 @@ from .attacks import (AttackConfig, clean_pass, fgsm_sf, make_target_mask, pgd_s
                       random_attack)
 from .estimators import (OTConfig, OTEstimator, TinyNetEstimator, epe,
                          load_weights, save_weights, train_tiny)
-from .harness import GridEntry, load_grid, run_experiment, write_report
+from .harness import GridEntry, load_grid, run_experiment, write_report, _rel
 from .scene import (FlowField, FormatError, ScenePair,
                     ValidationError, load_sfp, save_sfp)
 from .synth import DatasetSpec, load_dataset, make_dataset, write_dataset
@@ -144,7 +144,7 @@ def _cmd_attack(args) -> int:
         "eps": args.eps, "iters": 1 if args.attack == "random" else iters,
         "alpha": cfg.resolved_alpha(), "seed": args.seed,
         "epe_before": before, "epe_after": after,
-        "rel": (after - before) / before if before > 0 else None,
+        "rel": _rel(before, after),
     }
     if args.report:
         Path(args.report).write_text(json.dumps(summary, indent=2) + "\n")

@@ -51,11 +51,6 @@ def _vectors(flow) -> np.ndarray:
     return np.asarray(flow, dtype=np.float64)
 
 
-def _recip(t: Tensor) -> Tensor:
-    # 1/x for strictly positive x, expressed in the primitive closure
-    return ad.exp(ad.smul(ad.log(t), -1.0))
-
-
 def _lower_median_index(flat: np.ndarray) -> int:
     """Flat index a stable argsort ranks at the lower median, in linear time.
 
@@ -77,22 +72,28 @@ def median_scale(cost: Tensor) -> Tensor:
     """Divide a cost matrix by its (lower) median entry, differentiably.
 
     The median entry is located on detached values, by linear-time
-    selection that breaks ties as a stable sort would; the division then
-    goes through the graph so gradients account for the scale.  A
-    non-positive median leaves the cost unscaled (nothing to guard against).
+    selection that breaks ties as a stable sort would.  The division is one
+    tape node whose VJP accounts for the scale: the picked entry also gets
+    -<g, cost> / med^2, in the order of operations of the graph it replaces
+    (pick the entry, take exp(-log med), multiply).  A non-positive median
+    leaves the cost unscaled (nothing to guard against).
     """
     if not isinstance(cost, Tensor):
         cost = constant(cost)
     vals = cost.data
-    m = vals.shape[1]
-    r, c = divmod(_lower_median_index(vals.ravel()), m)
-    if vals[r, c] <= 1e-300:
+    r, c = divmod(_lower_median_index(vals.ravel()), vals.shape[1])
+    med = vals[r, c]
+    if med <= 1e-300:
         return cost
-    row = ad.gather_rows(cost, [r])                       # (1, m)
-    onehot = np.zeros((m, 1))
-    onehot[c, 0] = 1.0
-    med = ad.matmul(row, constant(onehot))                # (1, 1)
-    return ad.mul(cost, _recip(med))
+    recip = _np_recip(vals[r:r + 1, c:c + 1])             # (1, 1)
+
+    def vjp(g):
+        out = g * recip
+        out[r, c] += ((g * vals).sum() * recip[0, 0] * -1.0) / med
+        out += 0.0  # -0.0 becomes 0.0, as in the unrolled graph's gradient sum
+        return (out,)
+
+    return ad._emit("median-scale", (cost,), vals * recip, vjp)
 
 
 def sinkhorn(cost, reg: float, iters: int) -> Tensor:
@@ -166,7 +167,8 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
 
 
 def _np_recip(x: np.ndarray) -> np.ndarray:
-    # the value _recip computes, without recording it
+    # 1/x as exp(-log x): the reciprocal of the unrolled graphs the fused
+    # nodes replace, so their values keep every bit
     return np.exp(np.log(x) * -1.0)
 
 
@@ -347,10 +349,6 @@ def _stable_smallest(d: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cand, order, axis=1)
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, w), b)  # bias row broadcasts over rows
-
-
 class TinyNetEstimator(Estimator):
     """Tiny flow-embedding network: encode both clouds, attend over the k
     nearest second-cloud points, decode a flow vector per first-cloud point."""
@@ -368,6 +366,30 @@ class TinyNetEstimator(Estimator):
         import hashlib
         blob = save_weights(self.weights)
         return (self.tag, hashlib.sha256(blob).hexdigest()[:12])
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """One layer, x @ w + b with the bias row broadcast over rows, then an
+    optional relu, recorded as one tape node with a hand-written VJP.
+
+    The forward and the VJP are the arithmetic of the matmul, add and relu
+    nodes it replaces, operation for operation.  The VJP skips x's gradient
+    when x is a constant (the second cloud's features).
+    """
+    vx, vw = x.data, w.data
+    value = vx @ vw + b.data
+    if relu:
+        mask = value > 0.0
+        value = np.where(mask, value, 0.0)
+    x_constant = x.graph is None
+
+    def vjp(g):
+        if relu:
+            g = g * mask
+        gx = None if x_constant else g @ vw.T
+        return gx, vx.T @ g, g.sum(axis=0, keepdims=True)
+
+    return ad._emit("dense", (x, w, b), value, vjp)
 
 
 def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray) -> Tensor:
@@ -439,8 +461,7 @@ def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
         f2 = pos2
 
     def encode(x):
-        h = ad.relu(_affine(x, w1, b1))
-        return ad.relu(_affine(h, w2, b2))
+        return dense(dense(x, w1, b1, True), w2, b2, True)
 
     e1 = encode(f1)                                       # (N, 32)
     e2 = encode(f2)                                       # (M, 32)
@@ -449,8 +470,7 @@ def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
         idx = knn_indices(pos1.data, pair.pc2.positions, k_neighbors)
     attended = knn_attention(e1, e2, idx)                 # (N, 32)
     h = ad.concat(e1, attended, axis=1)                   # (N, 64)
-    h = ad.relu(_affine(h, w3, b3))
-    return _affine(h, w4, b4)
+    return dense(dense(h, w3, b3, True), w4, b4, False)
 
 
 # -- training -------------------------------------------------------------

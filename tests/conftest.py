@@ -2,29 +2,27 @@ import numpy as np
 import pytest
 
 from sfattack import autodiff as ad
-from sfattack import estimators
 from sfattack.autodiff import Tensor, constant
 
-
-def _recip(t):
-    return ad.exp(ad.smul(ad.log(t), -1.0))
+from oracle_ops import exp, gather_rows, recip, row_sum, unrolled_median_scale
 
 
 def _unrolled_sinkhorn(cost, reg, iters):
     """Sinkhorn built from autodiff primitives, one tape node per operation.
 
     The same arithmetic as estimators.sinkhorn's forward, minus its argument
-    and marginal checks; the reference for the fused node's plan and VJP.
+    and marginal checks, with the median scaling unrolled too; the reference
+    for the fused node's plan and VJP.
     """
     if not isinstance(cost, Tensor):
         cost = constant(cost)
     n, m = cost.shape
     ones_row = constant(np.ones((1, n)))
-    k = ad.exp(ad.smul(estimators.median_scale(cost), -1.0 / reg))
+    k = exp(ad.smul(unrolled_median_scale(cost), -1.0 / reg))
     for _ in range(iters):
-        k = ad.smul(ad.mul(k, _recip(ad.row_sum(k))), 1.0 / n)
-        k = ad.smul(ad.mul(k, _recip(ad.matmul(ones_row, k))), 1.0 / m)
-    return ad.mul(k, _recip(ad.row_sum(k)))
+        k = ad.smul(ad.mul(k, recip(row_sum(k))), 1.0 / n)
+        k = ad.smul(ad.mul(k, recip(ad.matmul(ones_row, k))), 1.0 / m)
+    return ad.mul(k, recip(row_sum(k)))
 
 
 @pytest.fixture
@@ -41,16 +39,16 @@ def _looped_attention(e1, e2, idx):
     neigh_feats = []
     logits = []
     for j in range(idx.shape[1]):
-        f2j = ad.gather_rows(e2, idx[:, j])               # (N, H)
+        f2j = gather_rows(e2, idx[:, j])                  # (N, H)
         d = ad.sub(e1, f2j)
-        logits.append(ad.smul(ad.row_sum(ad.mul(d, d)), -1.0))  # (N, 1)
+        logits.append(ad.smul(row_sum(ad.mul(d, d)), -1.0))  # (N, 1)
         neigh_feats.append(f2j)
     shift = constant(np.maximum.reduce([l.data for l in logits]))
-    exps = [ad.exp(ad.sub(l, shift)) for l in logits]
+    exps = [exp(ad.sub(l, shift)) for l in logits]
     total = exps[0]
     for e in exps[1:]:
         total = ad.add(total, e)
-    inv_total = _recip(total)                             # (N, 1)
+    inv_total = recip(total)                              # (N, 1)
     attended = None
     for e, f2j in zip(exps, neigh_feats):
         term = ad.mul(ad.mul(e, inv_total), f2j)

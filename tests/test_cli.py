@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from sfattack.cli import cli_main
 from sfattack.scene import ScenePair, load_sfp, save_sfp
 from sfattack.estimators import load_weights
+from sfattack.harness import load_grid, _rel
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,7 @@ class TestAttack:
         assert doc["attack"] == "fgsm"
         assert doc["iters"] == 1
         assert doc["alpha"] == 0.05  # fgsm pins alpha = eps
+        assert doc["rel"] == _rel(doc["epe_before"], doc["epe_after"])
         adv = load_sfp(out.read_bytes())
         base = load_sfp((dataset_dir / "pair_0000.sfp").read_bytes())
         assert abs(adv.pc1.positions - base.pc1.positions).max() <= 0.05 + 1e-6
@@ -212,6 +215,52 @@ class TestEval:
         assert code == 1
         assert err.startswith("error:")
         assert not report.exists()
+
+    def test_grid_fuzz_exits_1(self, dataset_dir, tmp_path, capsys):
+        # load_grid rejects a corrupted grid file only with a ValueError (a
+        # ValidationError, or a JSON or UTF-8 decode error), which eval
+        # exits 1 on, never 2
+        valid = json.dumps([
+            {"attack": "none"},
+            {"attack": "fgsm", "eps": 0.05, "target": "dim=0,2"},
+            {"attack": "pgd", "eps": 0.1, "iters": 10, "alpha": "auto",
+             "random_start": True, "target": "channel=1"},
+            {"attack": "pgd", "eps": 1, "iters": 3, "alpha": 0.02, "clamp_colors": False},
+            {"attack": "random", "eps": 0.05, "random_mode": "rademacher",
+             "target": "all-channels"},
+        ]).encode()
+        tokens = [b"e999", b"1e999", b"NaN", b"Infinity", b"-Infinity", b"null",
+                  b"[", b"]", b"{", b"}", b",", b'"']
+        rng = np.random.default_rng(31)
+        grid = tmp_path / "grid.json"
+        loaded = rejected = 0
+        for _ in range(2000):
+            blob = bytearray(valid)
+            op = rng.integers(4)
+            if op == 0:  # flip bytes
+                for _ in range(int(rng.integers(1, 4))):
+                    blob[rng.integers(len(blob))] = rng.integers(256)
+            elif op == 1:  # delete a run of bytes
+                at = int(rng.integers(len(blob)))
+                del blob[at:at + int(rng.integers(1, 9))]
+            elif op == 2:  # truncate
+                blob = blob[:rng.integers(len(blob))]
+            else:  # insert a number, literal or bracket
+                at = int(rng.integers(len(blob) + 1))
+                blob[at:at] = tokens[rng.integers(len(tokens))]
+            grid.write_bytes(bytes(blob))
+            try:
+                load_grid(grid)
+            except ValueError:
+                rejected += 1
+                if rejected % 20 == 0:  # a sample goes through the CLI too
+                    code, _, err = run_cli(capsys, "eval", "--data", str(dataset_dir),
+                                           "--grid", str(grid),
+                                           "--report", str(tmp_path / "r.json"))
+                    assert code == 1 and err.startswith("error: "), err
+            else:
+                loaded += 1
+        assert loaded and rejected
 
     def test_iters_above_cap_exits_1(self, dataset_dir, tmp_path, capsys):
         grid = tmp_path / "grid.json"

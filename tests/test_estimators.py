@@ -24,6 +24,7 @@ from sfattack.estimators import (
     OTEstimator,
     TinyNetEstimator,
     TinyNetWeights,
+    dense,
     epe,
     epe_loss,
     init_weights,
@@ -41,6 +42,8 @@ from sfattack.estimators import (
 )
 from sfattack.harness import GridEntry, _run_cell
 from sfattack.synth import DatasetSpec, MotionSpec, make_dataset, make_pair
+
+import oracle_ops as ops
 
 
 class TestEpe:
@@ -211,6 +214,22 @@ class TestFusedSinkhorn:
             tracemalloc.stop()
         assert peak < 24 * nm_bytes
 
+    @pytest.mark.parametrize("with_color, nodes", [(False, 10), (True, 14)],
+                             ids=["plain", "color"])
+    def test_pass_tape(self, with_color, nodes):
+        # leaf, pairwise-sqdist, median-scale twice, sinkhorn, matmul and sub,
+        # then the loss's sub, rownorm and mean; colors add a leaf, their
+        # pairwise-sqdist, a scalar-mul and an add
+        pair = make_pair(32, MotionSpec(angle=0.2), with_color, seed=8)
+        g = Graph()
+        pos1 = g.leaf(pair.pc1.positions)
+        col1 = g.leaf(pair.pc1.colors) if with_color else None
+        epe_loss(OTEstimator().flow_tensor(pos1, col1, pair), pair.gt_flow)
+        tags = [node.tag for node in g._nodes]
+        assert len(tags) == nodes
+        assert tags.count("median-scale") == 2 and tags.count("sinkhorn") == 1
+        assert not {"gather-rows", "exp", "log"} & set(tags)
+
 
 class TestMedianScale:
     def test_median_entry_becomes_one(self):
@@ -244,6 +263,28 @@ class TestMedianScale:
             grad = ad.backward(ad.tmean(median_scale(leaf)))[leaf.node_id]
             expect = np.argsort(vals, axis=None, kind="stable")[(vals.size - 1) // 2]
             assert np.argmin(grad) == expect
+
+    @pytest.mark.parametrize("case", ["tall", "wide", "integer-ties", "unscaled"])
+    def test_matches_unrolled(self, case):
+        rng = np.random.default_rng(13)
+        cost = {
+            "tall": lambda: rng.uniform(0.0, 3.0, size=(9, 4)),
+            "wide": lambda: rng.uniform(0.0, 3.0, size=(4, 9)),
+            "integer-ties": lambda: rng.integers(0, 4, size=(6, 7)).astype(float),
+            # a lower median of 0 leaves the cost unscaled, with no node
+            "unscaled": lambda: np.where(rng.random((5, 6)) < 0.7, 0.0, 1.0),
+        }[case]()
+        w = rng.normal(size=cost.shape)
+        w[rng.random(cost.shape) < 0.2] = -0.0  # the unrolled graph's sum turns these to 0.0
+        w = constant(w)
+        out = []
+        for fn in (median_scale, ops.unrolled_median_scale):
+            g = Graph()
+            leaf = g.leaf(cost)
+            scaled = fn(leaf)
+            grad = ad.backward(ad.tmean(ad.mul(scaled, w)))[leaf.node_id]
+            out.append((scaled.data.tobytes(), grad.tobytes()))
+        assert out[0] == out[1]
 
     @pytest.mark.parametrize("n1, nan_rows", [(16, [3]), (1, [0]), (4, [0, 1, 2])],
                              ids=["one-row", "all-nan", "nan-median"])
@@ -367,6 +408,55 @@ class TestTinyNet:
         assert np.abs(grads[pos1.node_id]).max() > 0.0
 
 
+class TestDense:
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
+    @pytest.mark.parametrize("track_x", [True, False], ids=["tracked-x", "constant-x"])
+    def test_matches_unrolled(self, relu, track_x):
+        rng = np.random.default_rng(3 * relu + track_x)
+        x, w, b = rng.normal(size=(7, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))
+        out_w = constant(rng.normal(size=(7, 4)))
+        out = []
+        for fn in (dense, ops.unrolled_dense):
+            g = Graph()
+            leaves = [g.leaf(x) if track_x else constant(x), g.leaf(w), g.leaf(b)]
+            y = fn(*leaves, relu)
+            grads = ad.backward(ad.tmean(ad.mul(y, out_w)))
+            out.append([y.data.tobytes()] + [grads[t.node_id].tobytes()
+                                             for t in leaves if t.graph is not None])
+        assert out[0] == out[1]
+        assert len(out[0]) == (4 if track_x else 3)
+
+    def test_constant_x_skips_gradient(self):
+        rng = np.random.default_rng(4)
+        g = Graph()
+        y = dense(constant(rng.normal(size=(6, 3))), g.leaf(rng.normal(size=(3, 2))),
+                  g.leaf(np.zeros((1, 2))), True)
+        gx, gw, gb = g._nodes[y.node_id].vjp(np.ones((6, 2)))
+        assert gx is None and gw.shape == (3, 2) and gb.shape == (1, 2)
+
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
+    def test_gradcheck(self, relu):
+        def builder(rng):
+            out_w = constant(rng.normal(size=(6, 3)))
+            return (lambda x, w, b: ad.tmean(ad.mul(dense(x, w, b, relu), out_w)),
+                    [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)),
+                     rng.normal(size=(1, 3))])
+
+        rep = ad.gradcheck(builder, seed=5)
+        assert rep.passed and rep.n_coords == 24 + 12 + 3
+
+    @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])
+    def test_training_matches_unrolled(self, monkeypatch, with_color):
+        ds = DatasetSpec(n_points=16, with_color=with_color, angle_range=(0.0, 0.2),
+                         translation_scale=0.15)
+        data = make_dataset(8, ds, seed=22)
+        weights, trace = train_tiny(data, epochs=4, lr=0.1, seed=3)
+        monkeypatch.setattr(estimators, "dense", ops.unrolled_dense)
+        ref_weights, ref_trace = train_tiny(data, epochs=4, lr=0.1, seed=3)
+        assert save_weights(weights) == save_weights(ref_weights)
+        assert trace == ref_trace
+
+
 def _attention_leaves(n, m, seed):
     rng = np.random.default_rng(seed)
     q, p = rng.uniform(-1, 1, size=(n, 3)), rng.uniform(-1, 1, size=(m, 3))
@@ -456,15 +546,17 @@ class TestKnnAttention:
         assert np.abs(np.subtract(trace, ref_trace)).max() <= 1e-12 * max(ref_trace)
 
     def test_attack_pass_tape(self):
-        # the per-neighbour loop recorded 97 nodes per pass
+        # leaf, four dense, knn-attention and concat, then the loss's sub,
+        # rownorm and mean
         pair = make_pair(32, MotionSpec(angle=0.2), with_color=False, seed=8)
         est = TinyNetEstimator(init_weights(3, seed=0))
         g = Graph()
         epe_loss(est.flow_tensor(g.leaf(pair.pc1.positions), None, pair), pair.gt_flow)
         tags = [node.tag for node in g._nodes]
-        assert len(tags) <= 20
+        assert len(tags) == 10
         assert tags.count("knn-attention") == 1
-        assert "gather-rows" not in tags and "row-sum" not in tags
+        assert tags.count("dense") == 4  # the second cloud's encoding is constant
+        assert not {"gather-rows", "row-sum", "relu", "matmul", "add"} & set(tags)
 
 
 class TestKnnSelection:

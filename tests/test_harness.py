@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sfattack import autodiff as ad
+from sfattack import estimators
 from sfattack.attacks import AttackConfig, clean_pass, make_target_mask
 from sfattack.estimators import (OTConfig, OTEstimator, TinyNetEstimator, epe,
                                  init_weights)
@@ -27,6 +28,8 @@ from sfattack.harness import (
 )
 from sfattack.scene import FlowField, ValidationError
 from sfattack.synth import DatasetSpec, make_dataset
+
+import oracle_ops as ops
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +286,34 @@ class TestRunExperiment:
         errors = {r.error for r in report.records} - {None}
         assert errors == (set() if color else
                           {"ValidationError: color mask on a pair without colors"})
+
+    def test_reports_match_unrolled_nodes(self, monkeypatch, tmp_path):
+        # the fused median-scale and dense nodes against the graphs they
+        # replace: two code paths, one report, byte for byte
+        grid = [grid_entry_from_dict(e) for e in [
+            {"attack": "none"},
+            {"attack": "fgsm", "eps": 0.1},
+            {"attack": "fgsm", "eps": 0.1, "target": "all-channels"},
+            {"attack": "pgd", "eps": 0.1, "iters": 3, "target": "channel=0,2"},
+            {"attack": "pgd", "eps": 0.1, "iters": 2, "random_start": True},
+        ]]
+        runs = []
+        for unrolled in (False, True):
+            if unrolled:
+                monkeypatch.setattr(estimators, "median_scale", ops.unrolled_median_scale)
+                monkeypatch.setattr(estimators, "dense", ops.unrolled_dense)
+            blobs = []
+            for color in (False, True):
+                ds = DatasetSpec(n_points=20, with_color=color, angle_range=(0.0, 0.3),
+                                 translation_scale=0.2, noise_sigma=0.01)
+                data = make_dataset(2, ds, seed=24)
+                for est in (OTEstimator(OTConfig(sinkhorn_iters=8)),
+                            TinyNetEstimator(init_weights(6 if color else 3, seed=6))):
+                    path = tmp_path / "report.json"
+                    write_report(run_experiment(data, est, grid, seed=4), json_path=path)
+                    blobs.append(path.read_bytes())
+            runs.append(blobs)
+        assert runs[0] == runs[1]
 
     def test_digest_once_per_run(self, small_dataset, small_grid, counting_est):
         report = run_experiment(small_dataset, counting_est, small_grid, seed=0)
