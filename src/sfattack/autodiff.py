@@ -4,13 +4,12 @@ A Graph is a tape: operations append nodes in topological order, and
 backward() sweeps the tape once in reverse.  Tensors are thin handles
 around numpy arrays; a tensor either lives on a graph (tracked) or is a
 plain constant.  The primitive set is only what the two estimators, the
-EPE loss and the trainer record: elementwise add/sub/mul, scalar-mul,
-matmul, mean, concat, rowwise L2 norm, and pairwise squared distances.
-Four fused nodes with hand-written VJPs go through _emit like any
-primitive; they live in sfattack.estimators next to their callers:
-median-scale, sinkhorn, dense (one tiny-net layer) and knn-attention.
-Only add, sub and mul broadcast: a scalar, (1,1), (1,M), (M,) or (N,1)
-operand meets an (N,M) one, and its gradient is summed back to its shape.
+EPE loss and the trainer record: elementwise add/sub, scalar-mul, matmul,
+mean, concat, rowwise L2 norm, and pairwise squared distances.  Four fused
+nodes with hand-written VJPs go through _emit like any primitive; they live
+in sfattack.estimators next to their callers: median-scale, sinkhorn, dense
+(one tiny-net layer) and knn-attention.  add and sub take equal shapes, or
+a scalar with any shape, whose gradient is then summed back to a scalar.
 
 backward() releases the tape as it goes: once a node's gradient has been
 passed to its parents, the node's value, its VJP closure and its gradient
@@ -122,37 +121,15 @@ def _emit(tag, parents: Sequence[Tensor], value, vjp) -> Tensor:
     return graph._record(tag, ids, value, vjp)
 
 
-# -- broadcasting (limited: equal shapes, scalar-with-tensor, row/column
-#    vector with matrix) -------------------------------------------------
+# -- broadcasting (equal shapes, or a scalar with any shape) -------------
 
 def _broadcast_ok(sa, sb):
-    if sa == sb:
-        return sa
-    for s, t in ((sa, sb), (sb, sa)):
-        if s == () or s == (1, 1):
-            return t
-        if len(t) == 2:
-            n, m = t
-            if s in ((m,), (1, m), (n, 1)):
-                return t
-    raise ShapeError(f"cannot broadcast {sa} with {sb}")
+    if sa != sb and () not in (sa, sb):
+        raise ShapeError(f"cannot broadcast {sa} with {sb}")
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.asarray(g.sum())
-    if shape == (1, 1):
-        return g.sum().reshape(1, 1)
-    n, m = g.shape
-    if shape == (m,):
-        return g.sum(axis=0)
-    if shape == (1, m):
-        return g.sum(axis=0, keepdims=True)
-    if shape == (n, 1):
-        return g.sum(axis=1, keepdims=True)
-    raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
+    return g if g.shape == shape else np.asarray(g.sum())
 
 
 # -- elementwise primitives ---------------------------------------------
@@ -173,15 +150,6 @@ def sub(a, b) -> Tensor:
     sa, sb = a.shape, b.shape
     return _emit("sub", (a, b), value,
                  lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _broadcast_ok(a.shape, b.shape)
-    va, vb = a.data, b.data
-    sa, sb = a.shape, b.shape
-    return _emit("mul", (a, b), va * vb,
-                 lambda g: (_unbroadcast(g * vb, sa), _unbroadcast(g * va, sb)))
 
 
 def smul(a, c: float) -> Tensor:

@@ -104,12 +104,20 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
     1/M) for `iters` rounds and finally rescaled so each row sums to 1.
 
     The iterations form one tape node with a hand-written VJP.  Every
-    iterate is diag(a)·K·diag(b), so the node keeps K and the (N,1) and
-    (1,M) scalings of each iterate, not the iterates: memory is a few N×M
-    arrays whatever `iters` is.  The backward differentiates the
-    normalizations in reverse order, reading each iterate through K and its
-    scalings.  The forward is the unrolled arithmetic, operation for
-    operation, so the plan is bitwise what the unrolled graph computes.
+    iterate is diag(a)·K·diag(b) (the scaling form of Cuturi, "Sinkhorn
+    Distances", NeurIPS 2013), so the node keeps K and the (N,1) and (1,M)
+    scalings of each iterate, not the iterates: memory is a few N×M arrays
+    whatever `iters` is.  The forward is the unrolled arithmetic, operation
+    for operation, so the plan is bitwise what the unrolled graph computes.
+
+    The backward is the derivative of the same unrolled iterations, taken on
+    the scaling vectors.  Walking the normalizations in reverse, each adds
+    one rank-1 term u·w to the gradient w.r.t. K, where u and w come from
+    the row and column sums of the gradient against the plan, kept as
+    running (N,1) and (1,M) sums.  That is one K mat-vec per normalization.
+    One (N×S)·(S×M) product sums the S = 2·iters+1 terms; adding g's own
+    share, a ⊙K and a ×(-1/reg) give the gradient w.r.t. the cost.  The
+    backward allocates one N×M array, which it returns.
     """
     if reg <= 0.0:
         raise ValidationError("sinkhorn reg must be > 0")
@@ -153,15 +161,41 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
     k *= r_inv
 
     def vjp(g):
-        g = g.copy()              # updated in place, one normalization at a time
-        h = np.empty_like(k0)     # scratch
-        _normalize_vjp(g, h, k0, a[iters], b[iters], *rows[iters], 1, 1.0)
+        # plan = diag(pa)·K0·diag(qb).  The gradient w.r.t. K0 is g's own
+        # share pa⊙(g⊙K0)⊙qb plus one rank-1 term u·w per normalization.
+        # g's row and column sums against the plan are the same at every
+        # step, since the scalings telescope.
+        h = np.multiply(g, k0)                 # H = g⊙K0, the one N×M scratch array
+        pa, qb = a[iters] * rows[iters][1], b[iters]
+        row_g, col_g = pa * (h @ qb.T), (pa.T @ h) * qb
+        # the later steps' rank-1 terms, summed against the current iterate
+        row_acc, col_acc = np.zeros((n, 1)), np.zeros((1, m))
+        steps = [(1, a[iters], b[iters], rows[iters][0])]
         for t in reversed(range(iters)):
-            _normalize_vjp(g, h, k0, a[t + 1], b[t], *cols[t], 0, 1.0 / m)
-            _normalize_vjp(g, h, k0, a[t], b[t], *rows[t], 1, 1.0 / n)
-        g *= k0
-        g *= neg_inv_reg
-        return (g,)
+            steps += [(0, a[t + 1], b[t], cols[t][0]), (1, a[t], b[t], rows[t][0])]
+        us, ws = np.empty((n, len(steps))), np.empty((len(steps), m))
+        for s, (axis, a_in, b_in, x) in enumerate(steps):
+            if axis == 1:
+                d = -(row_g + row_acc) / x
+                u, w = d * a_in, b_in
+                row_acc += d * x
+                col_acc += (u.T @ k0) * w
+            else:
+                d = -(col_g + col_acc) / x
+                u, w = a_in, d * b_in
+                col_acc += d * x
+                row_acc += (k0 @ w.T) * u
+            us[:, s:s + 1], ws[s:s + 1] = u, w
+        # (U·W)⊙K0 + pa⊙H⊙qb as ((U/pa)·(W/qb) + g)⊙K0⊙pa⊙qb, written into H
+        us /= pa
+        ws /= qb
+        np.matmul(us, ws, out=h)
+        h += g
+        h *= k0
+        h *= pa
+        h *= qb
+        h *= neg_inv_reg
+        return (h,)
 
     return ad._emit("sinkhorn", (scaled,), k, vjp)
 
@@ -170,16 +204,6 @@ def _np_recip(x: np.ndarray) -> np.ndarray:
     # 1/x as exp(-log x): the reciprocal of the unrolled graphs the fused
     # nodes replace, so their values keep every bit
     return np.exp(np.log(x) * -1.0)
-
-
-def _normalize_vjp(g, h, k0, a, b, x, inv, axis, scale):
-    """Turn g, the gradient w.r.t. k * inv * scale, into the gradient w.r.t.
-    k in place, where k = diag(a)·K0·diag(b), x is k summed over `axis` and
-    inv = exp(-log x).  h is scratch."""
-    np.multiply(g, k0, out=h)
-    gk = (h @ b.T) * a if axis == 1 else (a.T @ h) * b   # g·k summed over axis
-    g *= inv * scale
-    g += gk * scale * inv * -1.0 / x
 
 
 def _check_marginal(v: np.ndarray, which: str) -> None:

@@ -4,7 +4,7 @@ import pytest
 from sfattack import autodiff as ad
 from sfattack.autodiff import Tensor, constant
 
-from oracle_ops import exp, gather_rows, recip, row_sum, unrolled_median_scale
+from oracle_ops import exp, gather_rows, mul, recip, row_sum, unrolled_median_scale
 
 
 def _unrolled_sinkhorn(cost, reg, iters):
@@ -20,9 +20,9 @@ def _unrolled_sinkhorn(cost, reg, iters):
     ones_row = constant(np.ones((1, n)))
     k = exp(ad.smul(unrolled_median_scale(cost), -1.0 / reg))
     for _ in range(iters):
-        k = ad.smul(ad.mul(k, recip(row_sum(k))), 1.0 / n)
-        k = ad.smul(ad.mul(k, recip(ad.matmul(ones_row, k))), 1.0 / m)
-    return ad.mul(k, recip(row_sum(k)))
+        k = ad.smul(mul(k, recip(row_sum(k))), 1.0 / n)
+        k = ad.smul(mul(k, recip(ad.matmul(ones_row, k))), 1.0 / m)
+    return mul(k, recip(row_sum(k)))
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def _looped_attention(e1, e2, idx):
     for j in range(idx.shape[1]):
         f2j = gather_rows(e2, idx[:, j])                  # (N, H)
         d = ad.sub(e1, f2j)
-        logits.append(ad.smul(row_sum(ad.mul(d, d)), -1.0))  # (N, 1)
+        logits.append(ad.smul(row_sum(mul(d, d)), -1.0))  # (N, 1)
         neigh_feats.append(f2j)
     shift = constant(np.maximum.reduce([l.data for l in logits]))
     exps = [exp(ad.sub(l, shift)) for l in logits]
@@ -51,7 +51,7 @@ def _looped_attention(e1, e2, idx):
     inv_total = recip(total)                              # (N, 1)
     attended = None
     for e, f2j in zip(exps, neigh_feats):
-        term = ad.mul(ad.mul(e, inv_total), f2j)
+        term = mul(mul(e, inv_total), f2j)
         attended = term if attended is None else ad.add(attended, term)
     return attended
 

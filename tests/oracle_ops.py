@@ -4,7 +4,9 @@ The production tape records only what the estimators need.  The oracles in
 conftest.py and the composite-graph recipes of test_autodiff.py build
 their graphs from the generic primitives below, so their gradients come
 from the engine's per-node VJPs: an independent check of each hand-written
-VJP in sfattack.estimators.
+VJP in sfattack.estimators.  add, sub and mul here broadcast further than
+the engine's add and sub: a scalar, (1,1), (1,M), (M,) or (N,1) operand
+meets an (N,M) one, and its gradient is summed back to its shape.
 """
 
 import numpy as np
@@ -12,6 +14,61 @@ import numpy as np
 from sfattack import autodiff as ad
 from sfattack import estimators
 from sfattack.autodiff import DomainError, ShapeError, Tensor, constant
+
+
+def _broadcast_ok(sa, sb):
+    if sa == sb:
+        return
+    for s, t in ((sa, sb), (sb, sa)):
+        if s == () or s == (1, 1):
+            return
+        if len(t) == 2:
+            n, m = t
+            if s in ((m,), (1, m), (n, 1)):
+                return
+    raise ShapeError(f"cannot broadcast {sa} with {sb}")
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    if g.shape == shape:
+        return g
+    if shape == ():
+        return np.asarray(g.sum())
+    if shape == (1, 1):
+        return g.sum().reshape(1, 1)
+    n, m = g.shape
+    if shape == (m,):
+        return g.sum(axis=0)
+    if shape == (1, m):
+        return g.sum(axis=0, keepdims=True)
+    if shape == (n, 1):
+        return g.sum(axis=1, keepdims=True)
+    raise ShapeError(f"cannot reduce gradient {g.shape} to {shape}")
+
+
+def add(a, b) -> Tensor:
+    a, b = ad._coerce(a), ad._coerce(b)
+    _broadcast_ok(a.shape, b.shape)
+    sa, sb = a.shape, b.shape
+    return ad._emit("add", (a, b), a.data + b.data,
+                    lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+
+
+def sub(a, b) -> Tensor:
+    a, b = ad._coerce(a), ad._coerce(b)
+    _broadcast_ok(a.shape, b.shape)
+    sa, sb = a.shape, b.shape
+    return ad._emit("sub", (a, b), a.data - b.data,
+                    lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+
+
+def mul(a, b) -> Tensor:
+    a, b = ad._coerce(a), ad._coerce(b)
+    _broadcast_ok(a.shape, b.shape)
+    va, vb = a.data, b.data
+    sa, sb = a.shape, b.shape
+    return ad._emit("mul", (a, b), va * vb,
+                    lambda g: (_unbroadcast(g * vb, sa), _unbroadcast(g * va, sb)))
 
 
 def exp(a) -> Tensor:
@@ -83,10 +140,10 @@ def unrolled_median_scale(cost) -> Tensor:
     onehot = np.zeros((m, 1))
     onehot[c, 0] = 1.0
     med = ad.matmul(row, constant(onehot))                # (1, 1)
-    return ad.mul(cost, recip(med))
+    return mul(cost, recip(med))
 
 
 def unrolled_dense(x, w, b, relu_on: bool) -> Tensor:
     """estimators.dense as the matmul, bias add and relu nodes it fuses."""
-    out = ad.add(ad.matmul(x, w), b)
+    out = add(ad.matmul(x, w), b)
     return relu(out) if relu_on else out

@@ -46,6 +46,17 @@ class TestPrimitives:
         with pytest.raises(ad.ShapeError):
             ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_add_sub_broadcast_scalars_only(self):
+        # row and column broadcasting is the test-only ops.add/sub/mul's
+        g = ad.Graph()
+        x = g.leaf(np.ones((2, 3)))
+        grads = ad.backward(ad.tmean(ad.sub(ad.add(x, 2.0), ad.constant(np.ones((2, 3))))))
+        assert np.array_equal(grads[x.node_id], np.full((2, 3), 1.0 / 6.0))
+        for other in (np.zeros((1, 3)), np.zeros((2, 1)), np.zeros(3), np.zeros((1, 1))):
+            for op in (ad.add, ad.sub):
+                with pytest.raises(ad.ShapeError):
+                    op(x, other)
+
     def test_domain_errors(self):
         with pytest.raises(ad.DomainError):
             ops.log(np.array([-1.0]))
@@ -77,7 +88,7 @@ class TestBackward:
     def test_sum_of_squares(self):
         g = ad.Graph()
         x = g.leaf([1.0, 2.0])
-        grads = ad.backward(ad.tmean(ad.mul(x, x)))  # (1 + 4) / 2
+        grads = ad.backward(ad.tmean(ops.mul(x, x)))  # (1 + 4) / 2
         assert np.array_equal(grads[x.node_id], [1.0, 2.0])
 
     def test_mean_norm(self):
@@ -90,7 +101,7 @@ class TestBackward:
         g = ad.Graph()
         x = g.leaf([1.0, 2.0])
         with pytest.raises(ad.GraphError):
-            ad.backward(ad.mul(x, x))
+            ad.backward(ops.mul(x, x))
 
     def test_graph_single_use(self):
         g = ad.Graph()
@@ -156,18 +167,18 @@ class TestTapeRelease:
 def _recipes():
     """Composite graph builders: (fn over tensors, shapes)."""
     def r0(x, y):
-        return ad.tmean(ad.mul(ops.exp(ad.smul(x, 0.3)), ad.add(y, x)))
+        return ad.tmean(ops.mul(ops.exp(ad.smul(x, 0.3)), ad.add(y, x)))
 
     def r1(x, y):
         return ad.tmean(ad.rownorm(ad.sub(ad.matmul(x, y), ad.smul(x, 0.5))))
 
     def r2(x, y):
         d = ad.pairwise_sqdist(x, y)
-        return ad.tmean(ad.mul(ops.log(ad.add(d, ad.constant(1.0))), ad.smul(d, 0.1)))
+        return ad.tmean(ops.mul(ops.log(ad.add(d, ad.constant(1.0))), ad.smul(d, 0.1)))
 
     def r3(x, y):
         c = ad.concat(x, y, axis=0)
-        return ad.tmean(ops.log(ad.add(ops.row_sum(ad.mul(c, c)), ad.constant(0.1))))
+        return ad.tmean(ops.log(ad.add(ops.row_sum(ops.mul(c, c)), ad.constant(0.1))))
 
     def r4(x, y):
         gathered = ops.gather_rows(x, [0, 2, 1, 2])
@@ -175,9 +186,9 @@ def _recipes():
 
     def r5(x, col, row):
         # mul and sub broadcasting tracked (N,1) and (1,M) operands
-        a = ad.mul(col, ad.sub(x, row))
-        b = ad.sub(col, ad.mul(x, row))
-        return ad.tmean(ad.mul(a, b))
+        a = ops.mul(col, ops.sub(x, row))
+        b = ops.sub(col, ops.mul(x, row))
+        return ad.tmean(ops.mul(a, b))
 
     return [
         (r0, [(3, 4), (3, 4)]),
@@ -218,7 +229,7 @@ class TestGradientCorrectness:
             x = g.leaf(v)
             return ad.backward(fn(x))[x.node_id]
 
-        f = lambda x: ad.tmean(ad.mul(x, x))
+        f = lambda x: ad.tmean(ops.mul(x, x))
         h = lambda x: ad.tmean(ad.rownorm(x))
         combo = lambda x: ad.add(ad.smul(f(x), 2.0), ad.smul(h(x), -3.0))
         assert np.allclose(grad_of(combo), 2.0 * grad_of(f) - 3.0 * grad_of(h),
@@ -230,7 +241,7 @@ class TestGradientCorrectness:
             g = ad.Graph()
             x = g.leaf(rng.normal(size=(4, 3)))
             y = g.leaf(rng.normal(size=(4, 3)))
-            root = ad.tmean(ad.rownorm(ad.add(ad.mul(x, y), ops.exp(ad.smul(x, 0.1)))))
+            root = ad.tmean(ad.rownorm(ad.add(ops.mul(x, y), ops.exp(ad.smul(x, 0.1)))))
             return root.data.copy(), ad.backward(root)[x.node_id]
 
         (v1, g1), (v2, g2) = run(), run()
@@ -254,7 +265,7 @@ class TestGradientCorrectness:
 class TestGradcheck:
     def test_constant_recipe(self):
         def builder(rng):
-            return (lambda x: ad.smul(ad.tmean(ad.mul(x, ad.constant(np.zeros(3)))), 1.0),
+            return (lambda x: ad.smul(ad.tmean(ops.mul(x, ad.constant(np.zeros(3)))), 1.0),
                     [np.ones(3)])
 
         rep = ad.gradcheck(builder, seed=0)
@@ -263,7 +274,7 @@ class TestGradcheck:
     def test_repeatable(self):
         def builder(rng):
             v = rng.normal(size=(3, 3))
-            return lambda x: ad.tmean(ad.rownorm(ad.mul(x, x))), [v]
+            return lambda x: ad.tmean(ad.rownorm(ops.mul(x, x))), [v]
 
         r1 = ad.gradcheck(builder, seed=7)
         r2 = ad.gradcheck(builder, seed=7)

@@ -128,7 +128,7 @@ class TestSinkhorn:
 
         def scalar(cost_t):
             plan = sinkhorn(cost_t, reg=0.4, iters=8)
-            return ad.tmean(ad.mul(plan, constant(w)))
+            return ad.tmean(ops.mul(plan, constant(w)))
 
         g = Graph()
         leaf = g.leaf(base)
@@ -163,10 +163,28 @@ class TestFusedSinkhorn:
             g = Graph()
             leaf = g.leaf(base)
             plan = fn(leaf, 0.1, iters)
-            out.append((plan.data, ad.backward(ad.tmean(ad.mul(plan, w)))[leaf.node_id]))
+            out.append((plan.data, ad.backward(ad.tmean(ops.mul(plan, w)))[leaf.node_id]))
         (plan, grad), (ref_plan, ref_grad) = out
         assert np.array_equal(plan, ref_plan)
         assert _rel_err(grad, ref_grad) < 1e-12
+
+    @pytest.mark.parametrize("iters", [1, 2, 30])
+    def test_matches_unrolled_default_reg(self, unrolled_sinkhorn, iters):
+        # at the default reg K0 spans many magnitudes, so the backward's
+        # rank-1 terms can cancel
+        rng = np.random.default_rng(48 + iters)
+        base = rng.uniform(0.0, 2.0, size=(48, 40))
+        w = constant(rng.normal(size=(48, 40)))
+        out = []
+        for fn in (sinkhorn, unrolled_sinkhorn):
+            g = Graph()
+            leaf = g.leaf(base)
+            plan = fn(leaf, OTConfig().reg, iters)
+            out.append((plan.data, ad.backward(ad.tmean(ops.mul(plan, w)))[leaf.node_id]))
+        (plan, grad), (ref_plan, ref_grad) = out
+        assert np.array_equal(plan, ref_plan)
+        assert _rel_err(grad, ref_grad) < 1e-12
+        assert np.array_equal(np.sign(grad), np.sign(ref_grad))
 
     def test_one_tape_node(self):
         g = Graph()
@@ -282,7 +300,7 @@ class TestMedianScale:
             g = Graph()
             leaf = g.leaf(cost)
             scaled = fn(leaf)
-            grad = ad.backward(ad.tmean(ad.mul(scaled, w)))[leaf.node_id]
+            grad = ad.backward(ad.tmean(ops.mul(scaled, w)))[leaf.node_id]
             out.append((scaled.data.tobytes(), grad.tobytes()))
         assert out[0] == out[1]
 
@@ -420,7 +438,7 @@ class TestDense:
             g = Graph()
             leaves = [g.leaf(x) if track_x else constant(x), g.leaf(w), g.leaf(b)]
             y = fn(*leaves, relu)
-            grads = ad.backward(ad.tmean(ad.mul(y, out_w)))
+            grads = ad.backward(ad.tmean(ops.mul(y, out_w)))
             out.append([y.data.tobytes()] + [grads[t.node_id].tobytes()
                                              for t in leaves if t.graph is not None])
         assert out[0] == out[1]
@@ -438,7 +456,7 @@ class TestDense:
     def test_gradcheck(self, relu):
         def builder(rng):
             out_w = constant(rng.normal(size=(6, 3)))
-            return (lambda x, w, b: ad.tmean(ad.mul(dense(x, w, b, relu), out_w)),
+            return (lambda x, w, b: ad.tmean(ops.mul(dense(x, w, b, relu), out_w)),
                     [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)),
                      rng.normal(size=(1, 3))])
 
@@ -475,7 +493,7 @@ class TestKnnAttention:
             g = Graph()
             t1, t2 = g.leaf(e1), g.leaf(e2)
             att = fn(t1, t2, idx)
-            grads = ad.backward(ad.tmean(ad.mul(att, w)))
+            grads = ad.backward(ad.tmean(ops.mul(att, w)))
             out.append((att.data, grads[t1.node_id], grads[t2.node_id]))
         (att, g1, g2), (ref_att, ref_g1, ref_g2) = out
         assert np.array_equal(att, ref_att)

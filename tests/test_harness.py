@@ -287,9 +287,9 @@ class TestRunExperiment:
         assert errors == (set() if color else
                           {"ValidationError: color mask on a pair without colors"})
 
-    def test_reports_match_unrolled_nodes(self, monkeypatch, tmp_path):
-        # the fused median-scale and dense nodes against the graphs they
-        # replace: two code paths, one report, byte for byte
+    def test_reports_match_unrolled_nodes(self, monkeypatch, tmp_path, unrolled_sinkhorn):
+        # the fused median-scale, sinkhorn and dense nodes against the graphs
+        # they replace: two code paths, one report, byte for byte
         grid = [grid_entry_from_dict(e) for e in [
             {"attack": "none"},
             {"attack": "fgsm", "eps": 0.1},
@@ -301,6 +301,7 @@ class TestRunExperiment:
         for unrolled in (False, True):
             if unrolled:
                 monkeypatch.setattr(estimators, "median_scale", ops.unrolled_median_scale)
+                monkeypatch.setattr(estimators, "sinkhorn", unrolled_sinkhorn)
                 monkeypatch.setattr(estimators, "dense", ops.unrolled_dense)
             blobs = []
             for color in (False, True):
