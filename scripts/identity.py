@@ -12,8 +12,12 @@ library and writes what it produces under DIR:
   OT) and for coloured rigid and deform pairs (OT and the tiny net) with
   colour-channel, single-dimension and random-start cells;
 - `models/`: the SFTN weights `train` writes;
-- `attack/`: adversarial SFP files and attack summaries;
-- `stdout/`: what each command printed;
+- `attack/`: adversarial SFP files and attack summaries of `attack` runs:
+  FGSM on colour channels and on one dimension of the tiny net, PGD with
+  and without a random start, and the random baseline;
+- `stdout/`: what each command printed, after its exit code;
+- `stderr/`: what each command wrote to stderr, such as the error of an
+  `attack` with a colour mask on a pair without colours;
 - `grads/`: the `tobytes()` of the loss and of every input gradient of one
   forward+backward, for OT and the tiny net, with and without colours.
 
@@ -69,13 +73,15 @@ def _import_sfattack(src: Path):
 
 
 def _run(name: str, argv: list) -> None:
-    """One `sfattack` command; its stdout goes to stdout/<name>.txt."""
+    """One `sfattack` command; its stdout goes to stdout/<name>.txt and its
+    stderr to stderr/<name>.txt."""
     from sfattack.cli import cli_main
 
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main([str(a) for a in argv])
-    Path("stdout", f"{name}.txt").write_text(f"exit {code}\n{buf.getvalue()}")
+    Path("stdout", f"{name}.txt").write_text(f"exit {code}\n{out.getvalue()}")
+    Path("stderr", f"{name}.txt").write_text(err.getvalue())
 
 
 def _write_grads() -> None:
@@ -110,7 +116,7 @@ def write_tree(out: Path) -> None:
     commands print holds relative paths only."""
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    for sub in ("data", "reports", "models", "attack", "stdout", "grads"):
+    for sub in ("data", "reports", "models", "attack", "stdout", "stderr", "grads"):
         Path(sub).mkdir()
     for name, grid in (("directional", DIRECTIONAL_GRID), ("color", COLOR_GRID)):
         Path(f"{name}_grid.json").write_text(json.dumps(grid))
@@ -136,11 +142,21 @@ def write_tree(out: Path) -> None:
                 "--grid", f"{grid}_grid.json", "--jobs", jobs, "--seed", 3,
                 "--report", f"{stem}.json", "--csv", f"{stem}.csv"])
 
-    for name, argv in (
-            ("fgsm_channel", ["--attack", "fgsm", "--eps", 0.1, "--target", "channel=0,2"]),
-            ("pgd_random_start", ["--attack", "pgd", "--eps", 0.1, "--iters", 4,
-                                  "--random-start", "--seed", 9])):
-        _run(f"attack_{name}", ["attack", *argv, "--in", "data/deform/pair_0003.sfp",
+    deform, plain = "data/deform/pair_0003.sfp", "data/directional/pair_0000.sfp"
+    for name, infile, argv in (
+            ("fgsm_channel", deform,
+             ["--attack", "fgsm", "--eps", 0.1, "--target", "channel=0,2"]),
+            ("pgd_random_start", deform, ["--attack", "pgd", "--eps", 0.1, "--iters", 4,
+                                          "--random-start", "--seed", 9]),
+            ("pgd_plain", deform, ["--attack", "pgd", "--eps", 0.1, "--iters", 4]),
+            ("random_iters", deform, ["--attack", "random", "--eps", 0.1, "--iters", 10,
+                                      "--seed", 9]),
+            ("fgsm_tiny_dim1", deform, ["--model", "tiny:models/tiny_color.sftn",
+                                        "--attack", "fgsm", "--eps", 0.1,
+                                        "--target", "dim=1"]),
+            ("color_mask_plain", plain,  # exits 1: the pair has no colours
+             ["--attack", "fgsm", "--eps", 0.1, "--target", "channel=1"])):
+        _run(f"attack_{name}", ["attack", *argv, "--in", infile,
                                 "--out", f"attack/{name}.sfp",
                                 "--report", f"attack/{name}.json"])
     _write_grads()

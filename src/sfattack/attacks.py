@@ -168,14 +168,19 @@ def _result(pair: ScenePair, cfg: AttackConfig, adv_domain: np.ndarray) -> Attac
     return AttackResult(adv_pc1=adv_pc1, delta=adv_domain - base)
 
 
+def fgsm_config(cfg: AttackConfig) -> AttackConfig:
+    """The config FGSM runs: one step of size eps from the clean cloud, whatever
+    cfg's iters, alpha and random_start."""
+    return replace(cfg, iters=1, alpha=cfg.eps, random_start=False)
+
+
 def fgsm_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
             clean=None) -> AttackResult:
     """One-step signed-gradient attack: delta = eps * sign(grad), sign(0)=0.
 
-    This is pgd_sf's single step; cfg.iters, alpha and random_start are ignored.
+    This is pgd_sf's single step under fgsm_config(cfg).
     """
-    return pgd_sf(pair, est, replace(cfg, iters=1, alpha=cfg.eps, random_start=False),
-                  clean=clean)
+    return pgd_sf(pair, est, fgsm_config(cfg), clean=clean)
 
 
 def pgd_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,

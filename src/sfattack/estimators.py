@@ -135,7 +135,7 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
     k0 = np.exp(scaled.data * neg_inv_reg)
     ones_row = np.ones((1, n))
     # a[t], b[t]: scalings of the iterate entering round t (and the final
-    # row normalization for t = iters); rows[t], cols[t]: (marginal, 1/marginal)
+    # row normalization for t = iters); rows[t], cols[t]: its marginals
     a, b = [np.ones((n, 1))], [np.ones((1, m))]
     rows, cols = [], []
     k = k0.copy()  # updated in place, in the unrolled order of operations
@@ -150,14 +150,14 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
         c_inv = _np_recip(c)
         k *= c_inv
         k *= 1.0 / m
-        rows.append((r, r_inv))
-        cols.append((c, c_inv))
+        rows.append(r)
+        cols.append(c)
         a.append(a[-1] * r_inv * (1.0 / n))
         b.append(b[-1] * c_inv * (1.0 / m))
     r = k.sum(axis=1, keepdims=True)
     _check_marginal(r, "row")
     r_inv = _np_recip(r)
-    rows.append((r, r_inv))
+    rows.append(r)
     k *= r_inv
 
     def vjp(g):
@@ -166,13 +166,13 @@ def sinkhorn(cost, reg: float, iters: int) -> Tensor:
         # g's row and column sums against the plan are the same at every
         # step, since the scalings telescope.
         h = np.multiply(g, k0)                 # H = g⊙K0, the one N×M scratch array
-        pa, qb = a[iters] * rows[iters][1], b[iters]
+        pa, qb = a[iters] * r_inv, b[iters]  # r_inv: the final row normalization
         row_g, col_g = pa * (h @ qb.T), (pa.T @ h) * qb
         # the later steps' rank-1 terms, summed against the current iterate
         row_acc, col_acc = np.zeros((n, 1)), np.zeros((1, m))
-        steps = [(1, a[iters], b[iters], rows[iters][0])]
+        steps = [(1, a[iters], b[iters], rows[iters])]
         for t in reversed(range(iters)):
-            steps += [(0, a[t + 1], b[t], cols[t][0]), (1, a[t], b[t], rows[t][0])]
+            steps += [(0, a[t + 1], b[t], cols[t]), (1, a[t], b[t], rows[t])]
         us, ws = np.empty((n, len(steps))), np.empty((len(steps), m))
         for s, (axis, a_in, b_in, x) in enumerate(steps):
             if axis == 1:

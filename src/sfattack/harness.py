@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .attacks import (AUTO, AttackConfig, clean_pass, fgsm_sf, make_target_mask,
-                      pgd_sf, random_attack)
+from .attacks import (AUTO, AttackConfig, clean_pass, fgsm_config, fgsm_sf,
+                      make_target_mask, pgd_sf, random_attack)
 from .autodiff import DomainError
 from .estimators import Estimator, epe
 from .scene import FlowField, ScenePair, ValidationError
@@ -146,33 +146,56 @@ def _rel(before: float, after: float) -> Optional[float]:
     return (after - before) / before
 
 
+def pair_baseline(pair: ScenePair, est: Estimator, grid: list[GridEntry]):
+    """(baseline EPE, clean_pass or None) of `pair` for the entries of `grid`.
+    Entries that step from the clean cloud share one clean pass; without one,
+    or for a non-finite cloud (no graph leaf), the EPE is forward-only."""
+    if pair.gt_flow is None:
+        raise ValidationError("attack requires a pair with gt_flow")
+    if any(entry.steps_from_clean() for entry in grid):
+        try:
+            clean = clean_pass(pair, est)
+            return clean[0], clean
+        except DomainError:
+            pass
+    return epe(est.estimate(pair), pair.gt_flow), None
+
+
+def attack_pair(pair: ScenePair, est: Estimator, entry: GridEntry, seed: int,
+                clean=None) -> tuple[ScenePair, float]:
+    """(attacked pair, its EPE) of one grid entry's attack on `pair`.  `clean`
+    is pair_baseline's clean pass, or None to let FGSM or PGD run their own."""
+    cfg = entry.config
+    if entry.attack == "fgsm":
+        result = fgsm_sf(pair, est, cfg, clean=clean)
+    elif entry.attack == "pgd":
+        result = pgd_sf(pair, est, cfg, seed=seed, clean=clean)
+    else:
+        result = random_attack(pair, cfg, seed=seed)
+    adv_pair = replace(pair, pc1=result.adv_pc1)
+    return adv_pair, epe(est.estimate(adv_pair), pair.gt_flow)
+
+
 def _run_cell(pair: ScenePair, est: Estimator, label: str, entry: GridEntry,
               base_epe: float, seed: int, timing: bool,
               clean=None) -> ExperimentRecord:
     """One grid cell of one pair.  `clean` is the pair's clean_pass, or None
     to let an FGSM or PGD cell run it itself."""
-    digest = entry.digest()
-    rec_seed = _record_seed(seed, pair.id, digest)
-    cfg = entry.config
+    rec_seed = _record_seed(seed, pair.id, entry.digest())
     start = time.perf_counter()
     error = None
     after = base_epe
     try:
         if entry.attack != "none":
-            if entry.attack == "fgsm":
-                result = fgsm_sf(pair, est, cfg, clean=clean)
-            elif entry.attack == "pgd":
-                result = pgd_sf(pair, est, cfg, seed=rec_seed, clean=clean)
-            else:
-                result = random_attack(pair, cfg, seed=rec_seed)
-            adv_pair = replace(pair, pc1=result.adv_pc1)
-            after = epe(est.estimate(adv_pair), pair.gt_flow)
+            _, after = attack_pair(pair, est, entry, rec_seed, clean)
     except Exception as exc:  # diagnostic record, the run continues
         error = f"{type(exc).__name__}: {exc}"
         after = float("nan")
     ms = int((time.perf_counter() - start) * 1000) if timing else 0
     rel = 0.0 if entry.attack == "none" else (
         None if error else _rel(base_epe, after))
+    # the step that ran, FGSM's included; rec_seed hashes the cell as written
+    cfg = fgsm_config(entry.config) if entry.attack == "fgsm" else entry.config
     return ExperimentRecord(
         pair_id=pair.id, estimator=label,
         attack=entry.attack, mask=entry.mask_spec(),
@@ -195,22 +218,16 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
         if pair.gt_flow is None:
             raise ValidationError(f"pair {pair.id} lacks gt_flow")
 
-    # One clean forward+backward per pair serves every cell that steps from
-    # the clean cloud, and its loss is the baseline EPE.  Computed here, before
-    # any thread starts, so records do not depend on `jobs`.
-    use_clean = any(entry.steps_from_clean() for entry in grid)
-    clean, base = {}, {}
-    for pair in dataset:
-        clean[pair.id] = _clean_or_none(pair, est) if use_clean else None
-        base[pair.id] = (clean[pair.id][0] if clean[pair.id] is not None
-                         else epe(est.estimate(pair), pair.gt_flow))
+    # Each pair's baseline, and the clean pass its cells share, computed here,
+    # before any thread starts, so records do not depend on `jobs`.
+    base = {pair.id: pair_baseline(pair, est, grid) for pair in dataset}
     cells = [(pair, entry) for pair in dataset for entry in grid]
     label = f"{est.tag}:{est.config_digest()}"  # hashes the tiny net's weights
 
     def run(cell):
         pair, entry = cell
-        return _run_cell(pair, est, label, entry, base[pair.id], seed, timing,
-                         clean[pair.id])
+        before, clean = base[pair.id]
+        return _run_cell(pair, est, label, entry, before, seed, timing, clean)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -227,16 +244,6 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
                       "aggregation": "per-scene-then-mean",
                       "timing": timing,
                   })
-
-
-def _clean_or_none(pair: ScenePair, est: Estimator):
-    """clean_pass, or None for a non-finite cloud, which cannot be a graph
-    leaf: the baseline then comes from a forward-only pass, and each FGSM
-    or PGD cell records the failure of its own first step."""
-    try:
-        return clean_pass(pair, est)
-    except DomainError:
-        return None
 
 
 def aggregate(records: list[ExperimentRecord]) -> list[dict]:

@@ -147,7 +147,62 @@ class TestAttack:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def tiny_model(dataset_dir, tmp_path_factory):
+    model = tmp_path_factory.mktemp("model") / "tiny.sftn"
+    code = cli_main(["train", "--data", str(dataset_dir), "--epochs", "1",
+                     "--out", str(model)])
+    assert code == 0
+    return model
+
+
+class TestAttackMatchesEval:
+    @pytest.mark.parametrize("kind", ["ot", "tiny"])
+    @pytest.mark.parametrize("cell, argv", [
+        ({"attack": "fgsm", "eps": 0.05, "target": "dim=1"},
+         ["--attack", "fgsm", "--eps", "0.05", "--target", "dim=1"]),
+        ({"attack": "pgd", "eps": 0.05, "iters": 3},
+         ["--attack", "pgd", "--eps", "0.05", "--iters", "3"]),
+    ], ids=["fgsm-dim1", "pgd"])
+    def test_same_scores(self, dataset_dir, tiny_model, tmp_path, capsys, kind,
+                         cell, argv):
+        model = "ot" if kind == "ot" else f"tiny:{tiny_model}"
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([cell]))
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "eval", "--model", model, "--data", str(dataset_dir),
+                             "--grid", str(grid), "--report", str(report))
+        assert code == 0
+        rec = next(r for r in json.loads(report.read_text())["records"]
+                   if r["pair_id"] == "pair_0001")
+        summary = tmp_path / "summary.json"
+        code, _, _ = run_cli(capsys, "attack", "--model", model, *argv,
+                             "--in", str(dataset_dir / "pair_0001.sfp"),
+                             "--out", str(tmp_path / "adv.sfp"), "--report", str(summary))
+        assert code == 0
+        doc = json.loads(summary.read_text())
+        # eval writes floats at 6 significant digits, except rel
+        for key in ("epe_before", "epe_after", "alpha"):
+            assert rec[key] == float(f"{doc[key]:.6g}")
+        for key in ("rel", "iters"):
+            assert rec[key] == doc[key]
+
+
 class TestEval:
+    def test_pair_without_gt_flow_exits_1(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        pair = load_sfp((dataset_dir / "pair_0000.sfp").read_bytes())
+        (data / "a.sfp").write_bytes((dataset_dir / "pair_0001.sfp").read_bytes())
+        (data / "b.sfp").write_bytes(save_sfp(ScenePair(pair.pc1, pair.pc2, None)))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"attack": "fgsm", "eps": 0.05}]))
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, "eval", "--data", str(data), "--grid", str(grid),
+                                 "--report", str(report))
+        assert (code, out, err) == (1, "", "error: pair b lacks gt_flow\n")
+        assert not report.exists()
+
     def test_grid_run(self, dataset_dir, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([
@@ -361,6 +416,17 @@ class TestGradcheckCmd:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "PASS" in out1
+
+    def test_verdict_follows_gradcheck_tolerance(self, capsys, monkeypatch):
+        # at rel_tol 0 every report fails, so every summary line must say FAIL
+        from functools import partial
+        from sfattack import autodiff as ad
+        monkeypatch.setattr(ad, "gradcheck", partial(ad.gradcheck, rel_tol=0.0))
+        code, out, _ = run_cli(capsys, "gradcheck", "--seed", "7")
+        assert code == 2
+        summary = [line for line in out.splitlines() if " seed " not in line]
+        assert len(summary) == 4
+        assert all(line.endswith(" FAIL") for line in summary)
 
 
 class TestPlot:

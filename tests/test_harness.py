@@ -193,6 +193,22 @@ class TestRunExperiment:
         assert all(r.error is not None for r in report.records)
         assert report.aggregates == []
 
+    def test_fgsm_record_shows_the_step_that_ran(self, small_dataset):
+        # FGSM runs one step of size eps whatever the cell's iters and alpha
+        grid = [grid_entry_from_dict(e) for e in [
+            {"attack": "fgsm", "eps": 0.1},
+            {"attack": "fgsm", "eps": 0.1, "iters": 5, "alpha": 0.3},
+        ]]
+        est = OTEstimator(OTConfig(sinkhorn_iters=8))
+        report = run_experiment(small_dataset[:2], est, grid, seed=0)
+        assert len(report.records) == 4
+        for rec in report.records:
+            assert (rec.iters, rec.alpha, rec.error) == (1, 0.1, None)
+        for pair in small_dataset[:2]:
+            recs = [r for r in report.records if r.pair_id == pair.id]
+            assert recs[0].seed != recs[1].seed  # digests hash the grid's own config
+            assert recs[0].epe_after == recs[1].epe_after
+
     @pytest.mark.parametrize("entry,calls,calls_with_clean", [
         (GridEntry("none"), 0, 0),
         (GridEntry("random", AttackConfig(eps=0.05)), 1, 1),
@@ -322,11 +338,14 @@ class TestRunExperiment:
         label = f"ot:{OTEstimator(OTConfig(sinkhorn_iters=5)).config_digest()}"
         assert {r.estimator for r in report.records} == {label}
 
-    def test_requires_gt(self, small_dataset, small_grid):
+    def test_requires_gt(self, small_dataset, small_grid, counting_est):
+        # every pair is checked before any pass, the last one included
         from sfattack.scene import ScenePair
-        bare = [ScenePair(p.pc1, p.pc2, None, p.id) for p in small_dataset]
-        with pytest.raises(ValidationError):
-            run_experiment(bare, OTEstimator(), small_grid, seed=0)
+        last = small_dataset[-1]
+        data = small_dataset[:-1] + [ScenePair(last.pc1, last.pc2, None, "bare")]
+        with pytest.raises(ValidationError, match="^pair bare lacks gt_flow$"):
+            run_experiment(data, counting_est, small_grid, seed=0)
+        assert counting_est.flow_calls == 0
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, small_dataset, small_grid, counting_est, jobs):
