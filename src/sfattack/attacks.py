@@ -40,8 +40,11 @@ class TargetMask:
             raise ValidationError(f"mask axes must be a nonempty subset of {{0,1,2}}")
         object.__setattr__(self, "axes", axes)
 
+    def fits(self, pair: ScenePair) -> bool:
+        return self.domain == "positions" or pair.pc1.has_colors
+
     def check(self, pair: ScenePair) -> None:
-        if self.domain == "colors" and not pair.pc1.has_colors:
+        if not self.fits(pair):
             raise ValidationError("color mask on a pair without colors")
 
     def axis_row(self) -> np.ndarray:

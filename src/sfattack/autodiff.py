@@ -163,8 +163,9 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul needs (N,K)x(K,M), got {a.shape} and {b.shape}")
     va, vb = a.data, b.data
+    ta, tb = a.graph is not None, b.graph is not None  # a constant operand gets None
     return _emit("matmul", (a, b), va @ vb,
-                 lambda g: (g @ vb.T, va.T @ g))
+                 lambda g: (g @ vb.T if ta else None, va.T @ g if tb else None))
 
 
 # -- reductions and shape primitives ------------------------------------
@@ -216,17 +217,30 @@ def rownorm(a) -> Tensor:
 
 
 def pairwise_sqdist(a, b) -> Tensor:
-    """Matrix of squared Euclidean distances between rows of a and b."""
+    """Matrix of squared Euclidean distances between rows of a and b.
+
+    Rows are 3-vectors (positions or colours).  The three squares are summed
+    as (d0² + d2²) + d1², the order numpy 2.4's einsum("ijk,ijk->ij") takes
+    for C-contiguous operands, in one N×M scratch array beside the result;
+    no N×M×3 difference is formed, and the bits do not depend on the
+    operands' memory layout.
+    """
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"pairwise-sqdist needs (N,d) and (M,d), got {a.shape}, {b.shape}")
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != 3 or b.shape[1] != 3:
+        raise ShapeError(f"pairwise-sqdist needs (N,3) and (M,3), got {a.shape}, {b.shape}")
     va, vb = a.data, b.data
-    diff = va[:, None, :] - vb[None, :, :]
-    value = np.einsum("ijk,ijk->ij", diff, diff)
+    value = np.subtract(va[:, 0, None], vb[None, :, 0])
+    value *= value
+    scratch = np.empty_like(value)
+    for j in (2, 1):
+        np.subtract(va[:, j, None], vb[None, :, j], out=scratch)
+        scratch *= scratch
+        value += scratch
+    ta, tb = a.graph is not None, b.graph is not None  # a constant operand gets None
 
     def vjp(g):
-        ga = 2.0 * (g.sum(axis=1)[:, None] * va - g @ vb)
-        gb = 2.0 * (g.sum(axis=0)[:, None] * vb - g.T @ va)
+        ga = 2.0 * (g.sum(axis=1)[:, None] * va - g @ vb) if ta else None
+        gb = 2.0 * (g.sum(axis=0)[:, None] * vb - g.T @ va) if tb else None
         return ga, gb
 
     return _emit("pairwise-sqdist", (a, b), value, vjp)

@@ -58,7 +58,7 @@ def _lower_median_index(flat: np.ndarray) -> int:
     sort, and NaNs sort last, so the rank among the ties picks the index.
     """
     kth = (flat.size - 1) // 2
-    v = flat[np.argpartition(flat, kth)[kth]]
+    v = np.partition(flat, kth)[kth]
     if np.isnan(v):
         ties = np.flatnonzero(np.isnan(flat))
         below = flat.size - ties.size
@@ -207,7 +207,8 @@ def _np_recip(x: np.ndarray) -> np.ndarray:
 
 
 def _check_marginal(v: np.ndarray, which: str) -> None:
-    if v.min() <= 0.0 or not np.all(np.isfinite(v)):
+    # NaN fails every comparison, so it raises like 0, negatives and ±inf
+    if not 0.0 < v.min() <= v.max() < np.inf:
         raise NumericError(f"degenerate {which} marginal in sinkhorn (underflow)")
 
 

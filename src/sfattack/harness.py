@@ -48,10 +48,12 @@ class GridEntry:
     def mask_spec(self) -> str:
         return self.config.mask.spec_string() if self.config else "-"
 
-    def steps_from_clean(self) -> bool:
-        """Whether the attack's first gradient is the clean cloud's."""
-        return self.attack == "fgsm" or (
+    def steps_from_clean(self, pair: ScenePair) -> bool:
+        """Whether the attack's first gradient on `pair` is the clean cloud's.
+        An entry whose mask does not fit the pair fails before any step."""
+        steps = self.attack == "fgsm" or (
             self.attack == "pgd" and not self.config.random_start)
+        return steps and self.config.mask.fits(pair)
 
 
 _NUMBER = (int, float)  # exact JSON types: a bool is not a number here
@@ -152,7 +154,7 @@ def pair_baseline(pair: ScenePair, est: Estimator, grid: list[GridEntry]):
     or for a non-finite cloud (no graph leaf), the EPE is forward-only."""
     if pair.gt_flow is None:
         raise ValidationError("attack requires a pair with gt_flow")
-    if any(entry.steps_from_clean() for entry in grid):
+    if any(entry.steps_from_clean(pair) for entry in grid):
         try:
             clean = clean_pass(pair, est)
             return clean[0], clean

@@ -83,6 +83,65 @@ class TestPrimitives:
                 expect[i, j] = sum((a[i, k] - b[j, k]) ** 2 for k in range(3))
         assert np.abs(ad.pairwise_sqdist(a, b).data - expect).max() < 1e-12
 
+    @pytest.mark.parametrize("case", ["n-ne-m", "one-row", "colour-range", "outlier"])
+    def test_pairwise_sqdist_bits_match_einsum(self, case):
+        # the explicit sum keeps every bit of the einsum it replaces
+        rng = np.random.default_rng(2)
+        a, b = {
+            "n-ne-m": lambda: (rng.normal(size=(37, 3)), rng.normal(size=(53, 3))),
+            "one-row": lambda: (rng.normal(size=(1, 3)), rng.normal(size=(64, 3))),
+            "colour-range": lambda: (rng.uniform(0, 255, size=(40, 3)),
+                                     rng.uniform(0, 255, size=(31, 3))),
+            "outlier": lambda: (np.vstack([rng.random((20, 3)), [[100.0, 5.0, -10.0]]]),
+                                rng.random((25, 3))),
+        }[case]()
+        d = a[:, None] - b[None]
+        expect = np.einsum("ijk,ijk->ij", d, d)
+        assert ad.pairwise_sqdist(a, b).data.tobytes() == expect.tobytes()
+
+    def test_pairwise_sqdist_bits_ignore_memory_layout(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(48, 3)), rng.normal(size=(40, 3)) * 1e3
+        expect = ad.pairwise_sqdist(a, b).data.tobytes()
+        padded = np.zeros((40, 6))
+        padded[:, ::2] = b
+        sliced = padded[:, ::2]  # b's values in a strided, column-sliced view
+        assert not sliced.flags.c_contiguous
+        for va, vb in [(np.asfortranarray(a), b), (a, np.asfortranarray(b)), (a, sliced)]:
+            assert ad.pairwise_sqdist(va, vb).data.tobytes() == expect
+
+    @pytest.mark.parametrize("shapes", [((4, 2), (5, 2)), ((4, 4), (5, 4)),
+                                        ((4, 3), (5, 2)), ((3,), (5, 3))])
+    def test_pairwise_sqdist_needs_three_columns(self, shapes):
+        with pytest.raises(ad.ShapeError):
+            ad.pairwise_sqdist(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
+
+class TestConstantOperand:
+    """A primitive's VJP returns None for a constant operand's gradient."""
+
+    @pytest.mark.parametrize("op,shapes", [(ad.matmul, ((4, 3), (3, 5))),
+                                           (ad.pairwise_sqdist, ((4, 3), (5, 3)))],
+                             ids=["matmul", "pairwise-sqdist"])
+    def test_untracked_side_gets_none(self, op, shapes):
+        rng = np.random.default_rng(4)
+        va, vb = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+        g_out = rng.normal(size=op(va, vb).shape)
+
+        def grads(track_a, track_b):
+            g = ad.Graph()
+            ta = g.leaf(va) if track_a else ad.constant(va)
+            tb = g.leaf(vb) if track_b else ad.constant(vb)
+            op(ta, tb)
+            return g._nodes[-1].vjp(g_out)
+
+        both = grads(True, True)
+        only_a, only_b = grads(True, False), grads(False, True)
+        assert only_a[1] is None and only_b[0] is None
+        # the tracked side's gradient keeps its bits
+        assert only_a[0].tobytes() == both[0].tobytes()
+        assert only_b[1].tobytes() == both[1].tobytes()
+
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -193,7 +252,7 @@ def _recipes():
     return [
         (r0, [(3, 4), (3, 4)]),
         (r1, [(4, 4), (4, 4)]),
-        (r2, [(3, 2), (5, 2)]),
+        (r2, [(3, 3), (5, 3)]),
         (r3, [(2, 3), (4, 3)]),
         (r4, [(3, 3), (3, 2)]),
         (r5, [(4, 3), (4, 1), (1, 3)]),

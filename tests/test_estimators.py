@@ -37,6 +37,7 @@ from sfattack.estimators import (
     tiny_flow,
     train_tiny,
     zero_flow_aepe,
+    _check_marginal,
     _lower_median_index,
     _stable_smallest,
 )
@@ -120,6 +121,16 @@ class TestSinkhorn:
         cost = np.array([[0.0, 1.0], [0.0, 1.0]]) * 1e6
         with pytest.raises(NumericError):
             sinkhorn(cost, reg=1e-6, iters=5)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-300, -2.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which,shape", [("row", (5, 1)), ("column", (1, 5))])
+    def test_degenerate_marginal_raises(self, bad, which, shape):
+        v = np.full(shape, 0.2)
+        _check_marginal(v, which)
+        v.flat[3] = bad
+        with pytest.raises(NumericError,
+                           match=f"^degenerate {which} marginal in sinkhorn \\(underflow\\)$"):
+            _check_marginal(v, which)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(4)
@@ -267,6 +278,8 @@ class TestMedianScale:
             if case % 2:
                 vals[rng.random(vals.shape) < 0.3] = np.inf
                 vals[rng.random(vals.shape) < 0.2] = -np.inf
+            if case % 3 == 0:  # NaNs sort last, and tie among themselves
+                vals[rng.random(vals.shape) < rng.random()] = np.nan
             flat = vals.ravel()
             expect = np.argsort(flat, kind="stable")[(flat.size - 1) // 2]
             assert _lower_median_index(flat) == expect

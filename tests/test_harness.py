@@ -193,6 +193,29 @@ class TestRunExperiment:
         assert all(r.error is not None for r in report.records)
         assert report.aggregates == []
 
+    def test_no_clean_pass_for_masks_that_cannot_run(self, small_dataset, counting_est,
+                                                     monkeypatch):
+        # colour masks on plain pairs fail before their first step, so no
+        # pair pays for a clean forward+backward; the forward-only baseline
+        # has the clean pass's bits
+        backward_calls = []
+        real_backward = ad.backward
+        monkeypatch.setattr(ad, "backward",
+                            lambda root: backward_calls.append(1) or real_backward(root))
+        grid = [grid_entry_from_dict(e) for e in [
+            {"attack": "fgsm", "eps": 0.1, "target": "channel=1"},
+            {"attack": "pgd", "eps": 0.1, "iters": 3, "target": "channel=0,2"},
+        ]]
+        report = run_experiment(small_dataset, counting_est, grid, seed=0)
+        assert backward_calls == []
+        assert counting_est.flow_calls == len(small_dataset)
+        assert {r.error for r in report.records} == {
+            "ValidationError: color mask on a pair without colors"}
+        for pair in small_dataset:
+            clean_epe = clean_pass(pair, counting_est)[0]
+            assert {r.epe_before for r in report.records if r.pair_id == pair.id} == {
+                clean_epe}
+
     def test_fgsm_record_shows_the_step_that_ran(self, small_dataset):
         # FGSM runs one step of size eps whatever the cell's iters and alpha
         grid = [grid_entry_from_dict(e) for e in [
