@@ -15,7 +15,10 @@ library and writes what it produces under DIR:
 - `attack/`: adversarial SFP files and attack summaries of `attack` runs:
   FGSM on colour channels and on one dimension of the tiny net, PGD with
   and without a random start, and the random baseline;
-- `stdout/`: what each command printed, after its exit code;
+- `plots/`: the SVG `plot` draws of one pair's true flow and another
+  pair's;
+- `stdout/`: what each command printed, after its exit code, `gradcheck
+  --seed 0`'s report among them;
 - `stderr/`: what each command wrote to stderr, such as the error of an
   `attack` with a colour mask on a pair without colours;
 - `grads/`: the `tobytes()` of the loss and of every input gradient of one
@@ -116,7 +119,8 @@ def write_tree(out: Path) -> None:
     commands print holds relative paths only."""
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    for sub in ("data", "reports", "models", "attack", "stdout", "stderr", "grads"):
+    for sub in ("data", "reports", "models", "attack", "plots", "stdout", "stderr",
+                "grads"):
         Path(sub).mkdir()
     for name, grid in (("directional", DIRECTIONAL_GRID), ("color", COLOR_GRID)):
         Path(f"{name}_grid.json").write_text(json.dumps(grid))
@@ -159,6 +163,9 @@ def write_tree(out: Path) -> None:
         _run(f"attack_{name}", ["attack", *argv, "--in", infile,
                                 "--out", f"attack/{name}.sfp",
                                 "--report", f"attack/{name}.json"])
+    _run("plot", ["plot", "--in", plain, "--flow-a", plain,
+                  "--flow-b", "data/directional/pair_0001.sfp", "--out", "plots/flow.svg"])
+    _run("gradcheck", ["gradcheck", "--seed", 0])
     _write_grads()
 
 

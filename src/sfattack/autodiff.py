@@ -8,8 +8,8 @@ EPE loss and the trainer record: elementwise add/sub, scalar-mul, matmul,
 mean, concat, rowwise L2 norm, and pairwise squared distances.  Four fused
 nodes with hand-written VJPs go through _emit like any primitive; they live
 in sfattack.estimators next to their callers: median-scale, sinkhorn, dense
-(one tiny-net layer) and knn-attention.  add and sub take equal shapes, or
-a scalar with any shape, whose gradient is then summed back to a scalar.
+(one tiny-net layer) and knn-attention.  add and sub take operands of equal
+shape, and concat joins two matrices column-wise.
 
 backward() releases the tape as it goes: once a node's gradient has been
 passed to its parents, the node's value, its VJP closure and its gradient
@@ -72,9 +72,6 @@ class Graph:
         self._nodes.append(_Node(tag, tuple(parent_ids), value, vjp))
         return Tensor(value, self, len(self._nodes) - 1)
 
-    def leaf_ids(self):
-        return list(self._leaf_ids)
-
 
 class Tensor:
     """Dense float64 array, optionally attached to a differentiation graph."""
@@ -121,35 +118,23 @@ def _emit(tag, parents: Sequence[Tensor], value, vjp) -> Tensor:
     return graph._record(tag, ids, value, vjp)
 
 
-# -- broadcasting (equal shapes, or a scalar with any shape) -------------
+# -- elementwise primitives (no broadcasting: operands of equal shape) ----
 
-def _broadcast_ok(sa, sb):
-    if sa != sb and () not in (sa, sb):
-        raise ShapeError(f"cannot broadcast {sa} with {sb}")
+def _same_shape(a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"operand shapes differ: {a.shape} and {b.shape}")
 
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    return g if g.shape == shape else np.asarray(g.sum())
-
-
-# -- elementwise primitives ---------------------------------------------
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _broadcast_ok(a.shape, b.shape)
-    value = a.data + b.data
-    sa, sb = a.shape, b.shape
-    return _emit("add", (a, b), value,
-                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    _same_shape(a, b)
+    return _emit("add", (a, b), a.data + b.data, lambda g: (g, g))
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _broadcast_ok(a.shape, b.shape)
-    value = a.data - b.data
-    sa, sb = a.shape, b.shape
-    return _emit("sub", (a, b), value,
-                 lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+    _same_shape(a, b)
+    return _emit("sub", (a, b), a.data - b.data, lambda g: (g, -g))
 
 
 def smul(a, c: float) -> Tensor:
@@ -180,23 +165,14 @@ def tmean(a) -> Tensor:
                  lambda g: (np.full(shape, float(g) / size),))
 
 
-def concat(a, b, axis: int = 0) -> Tensor:
+def concat(a, b) -> Tensor:
+    """Join two matrices with the same number of rows column-wise."""
     a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != b.data.ndim:
-        raise ShapeError("concat operands must have equal rank")
-    if axis not in (0, 1) or axis >= a.data.ndim:
-        raise ShapeError(f"bad concat axis {axis}")
-    other = 1 - axis if a.data.ndim == 2 else None
-    if other is not None and a.shape[other] != b.shape[other]:
-        raise ShapeError(f"concat shapes {a.shape} and {b.shape} disagree")
-    value = np.concatenate([a.data, b.data], axis=axis)
-    split = a.shape[axis]
-
-    def vjp(g):
-        ga, gb = np.split(g, [split], axis=axis)
-        return ga, gb
-
-    return _emit("concat", (a, b), value, vjp)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ShapeError(f"concat needs (N,K) and (N,L), got {a.shape} and {b.shape}")
+    split = a.shape[1]
+    return _emit("concat", (a, b), np.concatenate([a.data, b.data], axis=1),
+                 lambda g: (g[:, :split], g[:, split:]))
 
 
 def rownorm(a) -> Tensor:
@@ -279,7 +255,7 @@ def backward(root: Tensor) -> dict[int, np.ndarray]:
             pg = np.asarray(pg, dtype=np.float64)
             grads[pid] = pg if grads[pid] is None else grads[pid] + pg
     out = {}
-    for i in graph.leaf_ids():
+    for i in graph._leaf_ids:
         out[i] = grads[i] if grads[i] is not None else np.zeros(nodes[i].value.shape)
     return out
 
@@ -291,16 +267,14 @@ class GradcheckReport:
     n_coords: int
 
 
-def gradcheck(builder, seed: int, h: float = 1e-5,
-              rel_tol: float = 1e-4, abs_tol: float = 1e-8) -> GradcheckReport:
+def gradcheck(fn, leaf_values, rel_tol: float = 1e-4) -> GradcheckReport:
     """Compare backward() against central finite differences.
 
-    builder(rng) must return (fn, leaf_values) where fn maps one tensor per
-    leaf value to a scalar tensor.  Coordinates where both the analytic and
-    numeric gradients are below abs_tol are compared absolutely.
+    fn maps one tensor per leaf value to a scalar tensor.  The central
+    differences step by h = 1e-5; coordinates where both the analytic and
+    numeric gradients are below abs_tol = 1e-8 are compared absolutely.
     """
-    rng = np.random.default_rng(seed)
-    fn, leaf_values = builder(rng)
+    h, abs_tol = 1e-5, 1e-8
     leaf_values = [np.asarray(v, dtype=np.float64) for v in leaf_values]
 
     graph = Graph()

@@ -7,11 +7,12 @@ import json
 import sys
 from pathlib import Path
 
-from .attacks import AUTO, AttackConfig, fgsm_config, make_target_mask
-from .estimators import (OTConfig, OTEstimator, TinyNetEstimator,
-                         load_weights, save_weights, train_tiny)
-from .harness import (GridEntry, attack_pair, load_grid, pair_baseline,
-                      run_experiment, write_report, _rel)
+from .attacks import AUTO, AttackConfig, make_target_mask
+from .estimators import (OTEstimator, TinyNetEstimator, load_weights, save_weights,
+                         train_tiny)
+from .harness import (GridEntry, attack_pair, gradcheck_battery, load_grid,
+                      pair_baseline, render_flow_svg, run_experiment, write_report,
+                      _rel)
 from .scene import FlowField, FormatError, ValidationError, load_sfp, save_sfp
 from .synth import DatasetSpec, load_dataset, make_dataset, write_dataset
 
@@ -82,7 +83,7 @@ def _build_parser() -> _Parser:
 
 def _make_estimator(spec: str):
     if spec == "ot":
-        return OTEstimator(OTConfig())
+        return OTEstimator()
     if spec == "tiny" or spec.startswith("tiny:"):
         if ":" not in spec:
             raise ValidationError("tiny estimator needs a weight file: tiny:model.sftn")
@@ -119,15 +120,15 @@ def _cmd_attack(args) -> int:
                        alpha=AUTO if fgsm or args.alpha == AUTO else float(args.alpha),
                        mask=make_target_mask(args.target),
                        random_start=args.random_start)
-    cfg = fgsm_config(cfg) if fgsm else cfg
     entry = GridEntry(args.attack, cfg)
     before, clean = pair_baseline(pair, est, [entry])
     adv_pair, after = attack_pair(pair, est, entry, args.seed, clean)
     Path(args.out).write_bytes(save_sfp(adv_pair))
+    ran = entry.ran_config()
     summary = {
         "pair_id": pair.id, "attack": args.attack, "target": args.target,
-        "eps": args.eps, "iters": 1 if args.attack == "random" else cfg.iters,
-        "alpha": cfg.resolved_alpha(), "seed": args.seed,
+        "eps": args.eps, "iters": ran.iters,
+        "alpha": ran.resolved_alpha(), "seed": args.seed,
         "epe_before": before, "epe_after": after,
         "rel": _rel(before, after),
     }
@@ -152,8 +153,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .harness import gradcheck_battery
-
     summary: dict[str, tuple[float, bool]] = {}  # name -> (worst error, all passed)
     for name, pair_seed, rep in gradcheck_battery(args.seed, n_pairs=5):
         worst, passed = summary.get(name, (0.0, True))
@@ -168,8 +167,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .harness import render_flow_svg
-
     pair = load_sfp(Path(args.infile).read_bytes())
 
     def flow_of(path) -> FlowField:

@@ -10,6 +10,7 @@ flow as a graph tensor so attacks can backpropagate to the first cloud.
 from __future__ import annotations
 
 import functools
+import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -214,21 +215,6 @@ def _check_marginal(v: np.ndarray, which: str) -> None:
 
 # -- estimators -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class OTConfig:
-    reg: float = 0.02
-    sinkhorn_iters: int = 30
-    color_weight: float = 1.0
-
-    def __post_init__(self):
-        if self.reg <= 0.0:
-            raise ValidationError("reg must be > 0")
-        if self.sinkhorn_iters < 1:
-            raise ValidationError("sinkhorn_iters must be >= 1")
-        if self.color_weight < 0.0:
-            raise ValidationError("color_weight must be >= 0")
-
-
 class Estimator:
     """Interface: estimate() for plain flow, flow_tensor() for gradients."""
 
@@ -243,7 +229,6 @@ class Estimator:
         return FlowField(self.flow_tensor(pos1, col1, pair).data)
 
     def config_digest(self) -> str:
-        import hashlib
         return hashlib.sha256(repr(self._digest_key()).encode()).hexdigest()[:12]
 
     def _digest_key(self):
@@ -251,25 +236,35 @@ class Estimator:
 
 
 class OTEstimator(Estimator):
-    """Soft-correspondence flow from an entropic transport plan."""
+    """Soft-correspondence flow from an entropic transport plan.
+
+    The cost is the median-scaled squared distance between positions, plus
+    the squared distance between colours when both clouds have them.
+    """
 
     tag = "ot"
 
-    def __init__(self, cfg: OTConfig = OTConfig()):
-        self.cfg = cfg
+    def __init__(self, reg: float = 0.02, sinkhorn_iters: int = 30):
+        if reg <= 0.0:
+            raise ValidationError("reg must be > 0")
+        if sinkhorn_iters < 1:
+            raise ValidationError("sinkhorn_iters must be >= 1")
+        self.reg = reg
+        self.sinkhorn_iters = sinkhorn_iters
 
     def flow_tensor(self, pos1, col1, pair):
         pos2 = constant(pair.pc2.positions)
         cost = median_scale(ad.pairwise_sqdist(pos1, pos2))
-        if self.cfg.color_weight > 0.0 and pair.pc2.has_colors and col1 is not None:
-            col2 = constant(pair.pc2.colors)
-            cost = ad.add(cost, ad.smul(ad.pairwise_sqdist(col1, col2),
-                                        self.cfg.color_weight))
-        plan = sinkhorn(cost, self.cfg.reg, self.cfg.sinkhorn_iters)
+        if pair.pc2.has_colors and col1 is not None:
+            cost = ad.add(cost, ad.pairwise_sqdist(col1, constant(pair.pc2.colors)))
+        plan = sinkhorn(cost, self.reg, self.sinkhorn_iters)
         return ad.sub(ad.matmul(plan, pos2), pos1)
 
     def _digest_key(self):
-        return (self.tag, self.cfg.reg, self.cfg.sinkhorn_iters, self.cfg.color_weight)
+        # the trailing 1.0 is the colour weight, which was once settable: without
+        # it the default label ot:1ee4a7dc357a would become ot:f24ac1c485d9, and
+        # every report, perfbench's reference reports included, would change
+        return (self.tag, self.reg, self.sinkhorn_iters, 1.0)
 
 
 HIDDEN = 32
@@ -388,7 +383,6 @@ class TinyNetEstimator(Estimator):
         return tiny_flow(pos1, col1, pair, w, self.weights.k_neighbors)
 
     def _digest_key(self):
-        import hashlib
         blob = save_weights(self.weights)
         return (self.tag, hashlib.sha256(blob).hexdigest()[:12])
 
@@ -478,12 +472,9 @@ def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
     if use_color and (col1 is None or not pair.pc2.has_colors):
         raise ValidationError("weights expect colors but the pair has none")
 
-    f1 = ad.concat(pos1, col1, axis=1) if use_color else pos1
+    f1 = ad.concat(pos1, col1) if use_color else pos1
     pos2 = constant(pair.pc2.positions)
-    if use_color:
-        f2 = ad.concat(pos2, constant(pair.pc2.colors), axis=1)
-    else:
-        f2 = pos2
+    f2 = ad.concat(pos2, constant(pair.pc2.colors)) if use_color else pos2
 
     def encode(x):
         return dense(dense(x, w1, b1, True), w2, b2, True)
@@ -494,14 +485,14 @@ def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
     if idx is None:
         idx = knn_indices(pos1.data, pair.pc2.positions, k_neighbors)
     attended = knn_attention(e1, e2, idx)                 # (N, 32)
-    h = ad.concat(e1, attended, axis=1)                   # (N, 64)
+    h = ad.concat(e1, attended)                           # (N, 64)
     return dense(dense(h, w3, b3, True), w4, b4, False)
 
 
 # -- training -------------------------------------------------------------
 
-def train_tiny(dataset: list[ScenePair], epochs: int, lr: float, seed: int,
-               k_neighbors: int = 8) -> tuple[TinyNetWeights, list[float]]:
+def train_tiny(dataset: list[ScenePair], epochs: int,
+               lr: float, seed: int) -> tuple[TinyNetWeights, list[float]]:
     """Plain full-gradient descent over shuffled minibatches of 4 pairs.
 
     Returns the final weights and the per-epoch mean EPE trace.
@@ -520,13 +511,13 @@ def train_tiny(dataset: list[ScenePair], epochs: int, lr: float, seed: int,
             raise ValidationError(
                 f"pair {pair.id} {'lacks' if with_color else 'has'} colors, unlike "
                 f"{dataset[0].id}: a training set is all plain or all colored")
-    weights = init_weights(6 if with_color else 3, seed, k_neighbors)
+    weights = init_weights(6 if with_color else 3, seed)
     arrays = [a.copy() for a in weights.arrays()]
     rng = np.random.default_rng(seed)
     trace = []
     batch_size = 4
     # neither cloud moves during training, so neither do the neighbours
-    neighbours = [knn_indices(p.pc1.positions, p.pc2.positions, k_neighbors)
+    neighbours = [knn_indices(p.pc1.positions, p.pc2.positions, weights.k_neighbors)
                   for p in dataset]
 
     for epoch in range(epochs):
@@ -540,7 +531,7 @@ def train_tiny(dataset: list[ScenePair], epochs: int, lr: float, seed: int,
             for pair, idx in batch:
                 pos1 = constant(pair.pc1.positions)
                 col1 = constant(pair.pc1.colors) if with_color else None
-                pred = tiny_flow(pos1, col1, pair, w, k_neighbors, idx=idx)
+                pred = tiny_flow(pos1, col1, pair, w, weights.k_neighbors, idx=idx)
                 term = epe_loss(pred, pair.gt_flow)
                 loss = term if loss is None else ad.add(loss, term)
             loss = ad.smul(loss, 1.0 / len(batch))

@@ -14,11 +14,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from . import autodiff as ad
 from .attacks import (AUTO, AttackConfig, clean_pass, fgsm_config, fgsm_sf,
                       make_target_mask, pgd_sf, random_attack)
-from .autodiff import DomainError
-from .estimators import Estimator, epe
+from .estimators import (Estimator, OTEstimator, TinyNetEstimator, epe, epe_loss,
+                         init_weights)
 from .scene import FlowField, ScenePair, ValidationError
+from .synth import MotionSpec, make_pair
 
 ATTACK_KINDS = ("none", "fgsm", "pgd", "random")
 
@@ -44,6 +46,15 @@ class GridEntry:
                cfg.mask.spec_string(), cfg.random_start, cfg.clamp_colors,
                cfg.random_mode)
         return hashlib.sha256(repr(key).encode()).hexdigest()[:12]
+
+    def ran_config(self) -> Optional[AttackConfig]:
+        """The config of the attack that runs, which records report: FGSM's
+        one step of size eps, and the random baseline's single draw."""
+        if self.attack == "fgsm":
+            return fgsm_config(self.config)
+        if self.attack == "random":
+            return replace(self.config, iters=1)
+        return self.config
 
     def mask_spec(self) -> str:
         return self.config.mask.spec_string() if self.config else "-"
@@ -158,7 +169,7 @@ def pair_baseline(pair: ScenePair, est: Estimator, grid: list[GridEntry]):
         try:
             clean = clean_pass(pair, est)
             return clean[0], clean
-        except DomainError:
+        except ad.DomainError:
             pass
     return epe(est.estimate(pair), pair.gt_flow), None
 
@@ -196,8 +207,7 @@ def _run_cell(pair: ScenePair, est: Estimator, label: str, entry: GridEntry,
     ms = int((time.perf_counter() - start) * 1000) if timing else 0
     rel = 0.0 if entry.attack == "none" else (
         None if error else _rel(base_epe, after))
-    # the step that ran, FGSM's included; rec_seed hashes the cell as written
-    cfg = fgsm_config(entry.config) if entry.attack == "fgsm" else entry.config
+    cfg = entry.ran_config()  # rec_seed hashes the cell as written
     return ExperimentRecord(
         pair_id=pair.id, estimator=label,
         attack=entry.attack, mask=entry.mask_spec(),
@@ -341,11 +351,6 @@ def gradcheck_battery(base_seed: int = 0, n_pairs: int = 20):
     Yields (name, pair_seed, GradcheckReport) for every combination of
     estimator and color usage over n_pairs seeded 8-point pairs.
     """
-    from . import autodiff as ad
-    from .estimators import (OTConfig, OTEstimator, TinyNetEstimator,
-                             epe_loss, init_weights)
-    from .synth import MotionSpec, make_pair
-
     motion = MotionSpec(kind="rigid", axis=(0.0, 0.0, 1.0), angle=0.25,
                         translation=(0.12, 0.05, -0.04), noise_sigma=0.03)
     for kind in ("ot", "tiny"):
@@ -354,38 +359,33 @@ def gradcheck_battery(base_seed: int = 0, n_pairs: int = 20):
             for s in range(base_seed, base_seed + n_pairs):
                 pair = make_pair(8, motion, with_color, seed=s)
                 if kind == "ot":
-                    est = OTEstimator(OTConfig(sinkhorn_iters=15))
+                    est = OTEstimator(sinkhorn_iters=15)
                 else:
                     est = TinyNetEstimator(init_weights(
-                        6 if with_color else 3,
-                        seed=GRADCHECK_WEIGHT_SEED, k_neighbors=8))
+                        6 if with_color else 3, seed=GRADCHECK_WEIGHT_SEED))
+                leaves = [pair.pc1.positions]
+                if with_color:
+                    leaves.append(pair.pc1.colors)
 
-                def builder(rng, pair=pair, est=est, with_color=with_color):
-                    leaves = [pair.pc1.positions]
-                    if with_color:
-                        leaves.append(pair.pc1.colors)
+                def fn(pos1, col1=None):
+                    return epe_loss(est.flow_tensor(pos1, col1, pair), pair.gt_flow)
 
-                    def fn(pos1, col1=None):
-                        return epe_loss(est.flow_tensor(pos1, col1, pair),
-                                        pair.gt_flow)
-
-                    return fn, leaves
-
-                yield name, s, ad.gradcheck(builder, seed=s)
+                yield name, s, ad.gradcheck(fn, leaves)
 
 
 # -- SVG rendering --------------------------------------------------------
 
 def render_flow_svg(pair: ScenePair, flow_a: FlowField,
-                    flow_b: Optional[FlowField] = None,
-                    drop_axis: int = 2, size: int = 640) -> str:
-    """Orthographic projection: pc1 gray, pc1+flow_a red, pc1+flow_b green,
-    with segments from each point to its displaced position."""
+                    flow_b: Optional[FlowField] = None) -> str:
+    """Orthographic projection onto the x-y plane, 640 px square: pc1 gray,
+    pc1+flow_a red, pc1+flow_b green, with segments from each point to its
+    displaced position."""
     if flow_a.n_points != pair.pc1.n_points:
         raise ValidationError("flow_a length mismatch")
     if flow_b is not None and flow_b.n_points != pair.pc1.n_points:
         raise ValidationError("flow_b length mismatch")
-    keep = [a for a in (0, 1, 2) if a != drop_axis]
+    keep = [0, 1]
+    size = 640
 
     p0 = pair.pc1.positions[:, keep]
     layers = [("#888888", p0)]

@@ -25,7 +25,6 @@ from sfattack.attacks import (
 from sfattack.cli import cli_main
 from sfattack.estimators import (
     Estimator,
-    OTConfig,
     OTEstimator,
     TinyNetEstimator,
     epe,
@@ -92,7 +91,7 @@ def test_02_attack_feasibility_invariants():
     zero off-mask, colors in [0,1], gt_flow bytes untouched."""
     base_rng = np.random.default_rng(1234)
     cheap = NegatedCloudEstimator()
-    ot = OTEstimator(OTConfig(reg=0.1, sinkhorn_iters=8))
+    ot = OTEstimator(reg=0.1, sinkhorn_iters=8)
     violations = 0
     for i in range(1000):
         rng = np.random.default_rng(base_rng.integers(2**63))
@@ -161,7 +160,7 @@ def fgsm_oracle(pair, est, cfg):
 def test_04_pgd_reduces_to_fgsm():
     """pgd_sf(iters=1, alpha=eps, no random start) and fgsm_sf both equal
     an inline FGSM oracle, bitwise, on 100 seeded pairs."""
-    est = OTEstimator(OTConfig(sinkhorn_iters=10))
+    est = OTEstimator(sinkhorn_iters=10)
     motion = MotionSpec(kind="rigid", axis=(0.0, 0.0, 1.0), angle=0.2,
                         translation=(0.08, -0.03, 0.05), noise_sigma=0.02)
     for seed in range(100):
@@ -270,7 +269,7 @@ def test_08_harness_arithmetic():
     grid = [GridEntry("none"),
             GridEntry("fgsm", AttackConfig(eps=0.05, iters=1, alpha=0.05)),
             GridEntry("random", AttackConfig(eps=0.05))]
-    report = run_experiment(dataset, OTEstimator(OTConfig(sinkhorn_iters=15)),
+    report = run_experiment(dataset, OTEstimator(sinkhorn_iters=15),
                             grid, seed=0)
 
     for agg in report.aggregates:

@@ -14,7 +14,7 @@ from sfattack.attacks import (
     pgd_sf,
     random_attack,
 )
-from sfattack.estimators import (Estimator, OTConfig, OTEstimator, TinyNetEstimator,
+from sfattack.estimators import (Estimator, OTEstimator, TinyNetEstimator,
                                  epe, epe_loss, init_weights)
 from sfattack.scene import FlowField, PointCloud, ScenePair, ValidationError
 from sfattack.synth import MotionSpec, make_pair
@@ -173,7 +173,7 @@ class TestFgsm:
     def test_color_attack_clamps(self):
         pair = simple_pair(seed=5)
         cfg = AttackConfig(eps=0.5, mask=TargetMask("colors"))
-        res = fgsm_sf(pair, OTEstimator(OTConfig(reg=0.1)), cfg)
+        res = fgsm_sf(pair, OTEstimator(reg=0.1), cfg)
         assert res.adv_pc1.colors.min() >= 0.0
         assert res.adv_pc1.colors.max() <= 1.0
         assert np.array_equal(res.adv_pc1.positions, pair.pc1.positions)
@@ -218,12 +218,12 @@ class TestPgd:
     def test_color_iterates_stay_clamped(self):
         pair = simple_pair(seed=10)
         cfg = AttackConfig(eps=0.6, iters=5, mask=TargetMask("colors"))
-        res = pgd_sf(pair, OTEstimator(OTConfig(reg=0.1)), cfg)
+        res = pgd_sf(pair, OTEstimator(reg=0.1), cfg)
         assert check_feasibility(pair, cfg, res) == []
 
 
 def _estimators(in_dim):
-    return [OTEstimator(OTConfig(sinkhorn_iters=10)),
+    return [OTEstimator(sinkhorn_iters=10),
             TinyNetEstimator(init_weights(in_dim, seed=4))]
 
 
@@ -308,7 +308,7 @@ class TestFeasibility:
         pair = simple_pair(seed=15)
         mask = make_target_mask(mask_spec)
         cfg = AttackConfig(eps=0.05, iters=3, mask=mask)
-        est = OTEstimator(OTConfig(reg=0.1))
+        est = OTEstimator(reg=0.1)
         for res in (fgsm_sf(pair, est, AttackConfig(eps=0.05, mask=mask)),
                     pgd_sf(pair, est, cfg),
                     random_attack(pair, cfg, seed=0)):

@@ -46,16 +46,21 @@ class TestPrimitives:
         with pytest.raises(ad.ShapeError):
             ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
-    def test_add_sub_broadcast_scalars_only(self):
-        # row and column broadcasting is the test-only ops.add/sub/mul's
+    def test_add_sub_need_equal_shapes(self):
+        # broadcasting, scalars included, is the test-only ops.add/sub/mul's
         g = ad.Graph()
         x = g.leaf(np.ones((2, 3)))
-        grads = ad.backward(ad.tmean(ad.sub(ad.add(x, 2.0), ad.constant(np.ones((2, 3))))))
+        y = g.leaf(np.ones((2, 3)))
+        grads = ad.backward(ad.tmean(ad.sub(ad.add(x, ad.constant(np.full((2, 3), 2.0))), y)))
         assert np.array_equal(grads[x.node_id], np.full((2, 3), 1.0 / 6.0))
-        for other in (np.zeros((1, 3)), np.zeros((2, 1)), np.zeros(3), np.zeros((1, 1))):
+        assert np.array_equal(grads[y.node_id], np.full((2, 3), -1.0 / 6.0))
+        for other in (2.0, np.zeros((1, 3)), np.zeros((2, 1)), np.zeros(3),
+                      np.zeros((1, 1))):
             for op in (ad.add, ad.sub):
                 with pytest.raises(ad.ShapeError):
                     op(x, other)
+                with pytest.raises(ad.ShapeError):
+                    op(other, x)
 
     def test_domain_errors(self):
         with pytest.raises(ad.DomainError):
@@ -233,15 +238,15 @@ def _recipes():
 
     def r2(x, y):
         d = ad.pairwise_sqdist(x, y)
-        return ad.tmean(ops.mul(ops.log(ad.add(d, ad.constant(1.0))), ad.smul(d, 0.1)))
+        return ad.tmean(ops.mul(ops.log(ops.add(d, ad.constant(1.0))), ad.smul(d, 0.1)))
 
     def r3(x, y):
-        c = ad.concat(x, y, axis=0)
-        return ad.tmean(ops.log(ad.add(ops.row_sum(ops.mul(c, c)), ad.constant(0.1))))
+        c = ad.concat(x, y)
+        return ad.tmean(ops.log(ops.add(ops.row_sum(ops.mul(c, c)), ad.constant(0.1))))
 
     def r4(x, y):
         gathered = ops.gather_rows(x, [0, 2, 1, 2])
-        return ad.tmean(ops.relu(ad.sub(ad.matmul(gathered, y), ad.constant(0.2))))
+        return ad.tmean(ops.relu(ops.sub(ad.matmul(gathered, y), ad.constant(0.2))))
 
     def r5(x, col, row):
         # mul and sub broadcasting tracked (N,1) and (1,M) operands
@@ -253,7 +258,7 @@ def _recipes():
         (r0, [(3, 4), (3, 4)]),
         (r1, [(4, 4), (4, 4)]),
         (r2, [(3, 3), (5, 3)]),
-        (r3, [(2, 3), (4, 3)]),
+        (r3, [(4, 2), (4, 3)]),
         (r4, [(3, 3), (3, 2)]),
         (r5, [(4, 3), (4, 1), (1, 3)]),
     ]
@@ -323,25 +328,18 @@ class TestGradientCorrectness:
 
 class TestGradcheck:
     def test_constant_recipe(self):
-        def builder(rng):
-            return (lambda x: ad.smul(ad.tmean(ops.mul(x, ad.constant(np.zeros(3)))), 1.0),
-                    [np.ones(3)])
-
-        rep = ad.gradcheck(builder, seed=0)
+        rep = ad.gradcheck(
+            lambda x: ad.smul(ad.tmean(ops.mul(x, ad.constant(np.zeros(3)))), 1.0),
+            [np.ones(3)])
         assert rep.max_rel_err == 0.0 and rep.passed
 
     def test_repeatable(self):
-        def builder(rng):
-            v = rng.normal(size=(3, 3))
-            return lambda x: ad.tmean(ad.rownorm(ops.mul(x, x))), [v]
-
-        r1 = ad.gradcheck(builder, seed=7)
-        r2 = ad.gradcheck(builder, seed=7)
+        v = np.random.default_rng(7).normal(size=(3, 3))
+        fn = lambda x: ad.tmean(ad.rownorm(ops.mul(x, x)))
+        r1 = ad.gradcheck(fn, [v])
+        r2 = ad.gradcheck(fn, [v])
         assert (r1.max_rel_err, r1.passed) == (r2.max_rel_err, r2.passed)
 
     def test_nonfinite_forward_rejected(self):
-        def builder(rng):
-            return lambda x: ad.smul(ad.tmean(x), float("nan")), [np.ones(2)]
-
         with pytest.raises(ad.DomainError):
-            ad.gradcheck(builder, seed=0)
+            ad.gradcheck(lambda x: ad.smul(ad.tmean(x), float("nan")), [np.ones(2)])

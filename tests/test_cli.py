@@ -163,7 +163,9 @@ class TestAttackMatchesEval:
          ["--attack", "fgsm", "--eps", "0.05", "--target", "dim=1"]),
         ({"attack": "pgd", "eps": 0.05, "iters": 3},
          ["--attack", "pgd", "--eps", "0.05", "--iters", "3"]),
-    ], ids=["fgsm-dim1", "pgd"])
+        ({"attack": "random", "eps": 0.05},
+         ["--attack", "random", "--eps", "0.05", "--iters", "10"]),
+    ], ids=["fgsm-dim1", "pgd", "random"])
     def test_same_scores(self, dataset_dir, tiny_model, tmp_path, capsys, kind,
                          cell, argv):
         model = "ot" if kind == "ot" else f"tiny:{tiny_model}"
@@ -181,10 +183,13 @@ class TestAttackMatchesEval:
                              "--out", str(tmp_path / "adv.sfp"), "--report", str(summary))
         assert code == 0
         doc = json.loads(summary.read_text())
-        # eval writes floats at 6 significant digits, except rel
-        for key in ("epe_before", "epe_after", "alpha"):
+        # eval writes floats at 6 significant digits, except rel.  A random
+        # cell draws from the hashed cell seed and attack from --seed, so
+        # only what does not depend on the draw matches
+        drawn = cell["attack"] == "random"
+        for key in ("epe_before", "alpha") + (() if drawn else ("epe_after",)):
             assert rec[key] == float(f"{doc[key]:.6g}")
-        for key in ("rel", "iters"):
+        for key in ("iters",) + (() if drawn else ("rel",)):
             assert rec[key] == doc[key]
 
 

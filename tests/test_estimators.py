@@ -20,7 +20,6 @@ from sfattack.scene import (
 from sfattack.estimators import (
     HIDDEN,
     NumericError,
-    OTConfig,
     OTEstimator,
     TinyNetEstimator,
     TinyNetWeights,
@@ -190,7 +189,7 @@ class TestFusedSinkhorn:
         for fn in (sinkhorn, unrolled_sinkhorn):
             g = Graph()
             leaf = g.leaf(base)
-            plan = fn(leaf, OTConfig().reg, iters)
+            plan = fn(leaf, OTEstimator().reg, iters)
             out.append((plan.data, ad.backward(ad.tmean(ops.mul(plan, w)))[leaf.node_id]))
         (plan, grad), (ref_plan, ref_grad) = out
         assert np.array_equal(plan, ref_plan)
@@ -243,12 +242,12 @@ class TestFusedSinkhorn:
             tracemalloc.stop()
         assert peak < 24 * nm_bytes
 
-    @pytest.mark.parametrize("with_color, nodes", [(False, 10), (True, 14)],
+    @pytest.mark.parametrize("with_color, nodes", [(False, 10), (True, 13)],
                              ids=["plain", "color"])
     def test_pass_tape(self, with_color, nodes):
         # leaf, pairwise-sqdist, median-scale twice, sinkhorn, matmul and sub,
         # then the loss's sub, rownorm and mean; colors add a leaf, their
-        # pairwise-sqdist, a scalar-mul and an add
+        # pairwise-sqdist and an add
         pair = make_pair(32, MotionSpec(angle=0.2), with_color, seed=8)
         g = Graph()
         pos1 = g.leaf(pair.pc1.positions)
@@ -339,7 +338,7 @@ class TestOTEstimator:
         pos = rng.uniform(-1, 1, size=(9, 3)) * 3.0
         pair = ScenePair(PointCloud(pos), PointCloud(pos),
                          FlowField(np.zeros((9, 3))), "ident")
-        est = OTEstimator(OTConfig(reg=0.01))
+        est = OTEstimator(reg=0.01)
         flow = est.estimate(pair).vectors
         assert np.abs(flow).max() < 1e-3
 
@@ -376,14 +375,27 @@ class TestOTEstimator:
         pair_plain = ScenePair(PointCloud(pos), PointCloud(pos + 0.1), None, "p")
         pair_color = ScenePair(PointCloud(pos, colors),
                                PointCloud(pos + 0.1, colors[::-1].copy()), None, "c")
-        est = OTEstimator(OTConfig(reg=0.1, color_weight=5.0))
+        est = OTEstimator(reg=0.1)
         f_plain = est.estimate(pair_plain).vectors
         f_color = est.estimate(pair_color).vectors
         assert np.abs(f_plain - f_color).max() > 1e-3
 
     def test_digest_depends_on_config(self):
-        assert (OTEstimator(OTConfig(reg=0.02)).config_digest()
-                != OTEstimator(OTConfig(reg=0.05)).config_digest())
+        assert (OTEstimator(reg=0.02).config_digest()
+                != OTEstimator(reg=0.05).config_digest())
+
+    @pytest.mark.parametrize("kwargs, digest", [({}, "1ee4a7dc357a"),
+                                                ({"sinkhorn_iters": 15}, "38b40bc502ae")],
+                             ids=["default", "iters15"])
+    def test_digest_pinned(self, kwargs, digest):
+        # report labels (ot:<digest>) and perfbench's reference reports pin these
+        assert OTEstimator(**kwargs).config_digest() == digest
+
+    @pytest.mark.parametrize("kwargs", [{"reg": 0.0}, {"reg": -1.0}, {"sinkhorn_iters": 0}],
+                             ids=["reg0", "reg-neg", "iters0"])
+    def test_bad_config_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValidationError):
+            OTEstimator(**kwargs)
 
 
 class TestTinyNet:
@@ -467,13 +479,11 @@ class TestDense:
 
     @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
     def test_gradcheck(self, relu):
-        def builder(rng):
-            out_w = constant(rng.normal(size=(6, 3)))
-            return (lambda x, w, b: ad.tmean(ops.mul(dense(x, w, b, relu), out_w)),
-                    [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)),
-                     rng.normal(size=(1, 3))])
-
-        rep = ad.gradcheck(builder, seed=5)
+        rng = np.random.default_rng(5)
+        out_w = constant(rng.normal(size=(6, 3)))
+        rep = ad.gradcheck(lambda x, w, b: ad.tmean(ops.mul(dense(x, w, b, relu), out_w)),
+                           [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)),
+                            rng.normal(size=(1, 3))])
         assert rep.passed and rep.n_coords == 24 + 12 + 3
 
     @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])

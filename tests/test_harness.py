@@ -9,8 +9,7 @@ import pytest
 from sfattack import autodiff as ad
 from sfattack import estimators
 from sfattack.attacks import AttackConfig, clean_pass, make_target_mask
-from sfattack.estimators import (OTConfig, OTEstimator, TinyNetEstimator, epe,
-                                 init_weights)
+from sfattack.estimators import OTEstimator, TinyNetEstimator, epe, init_weights
 from sfattack.harness import (
     CSV_HEADER,
     GridEntry,
@@ -64,7 +63,7 @@ class CountingEstimator(OTEstimator):
     """OT estimator that counts its forward passes."""
 
     def __init__(self):
-        super().__init__(OTConfig(sinkhorn_iters=5))
+        super().__init__(sinkhorn_iters=5)
         self.flow_calls = 0
         self.digest_calls = 0
 
@@ -84,7 +83,7 @@ def counting_est():
 
 @pytest.fixture(scope="module")
 def small_report(small_dataset, small_grid):
-    est = OTEstimator(OTConfig(sinkhorn_iters=15))
+    est = OTEstimator(sinkhorn_iters=15)
     return run_experiment(small_dataset, est, small_grid, seed=0)
 
 
@@ -166,7 +165,7 @@ class TestRunExperiment:
                 np.mean([r.epe_after for r in recs]), abs=1e-12)
 
     def test_baseline_epe_is_estimator_epe(self, small_report, small_dataset):
-        est = OTEstimator(OTConfig(sinkhorn_iters=15))
+        est = OTEstimator(sinkhorn_iters=15)
         pair = small_dataset[0]
         expect = epe(est.estimate(pair), pair.gt_flow)
         rec = next(r for r in small_report.records
@@ -174,20 +173,20 @@ class TestRunExperiment:
         assert rec.epe_before == pytest.approx(expect, abs=1e-12)
 
     def test_permutation_invariance(self, small_dataset, small_grid):
-        est = OTEstimator(OTConfig(sinkhorn_iters=15))
+        est = OTEstimator(sinkhorn_iters=15)
         fwd = run_experiment(small_dataset, est, small_grid, seed=0)
         rev = run_experiment(list(reversed(small_dataset)), est, small_grid, seed=0)
         assert report_to_json_dict(fwd) == report_to_json_dict(rev)
 
     def test_jobs_identical(self, small_dataset, small_grid, small_report):
-        est = OTEstimator(OTConfig(sinkhorn_iters=15))
+        est = OTEstimator(sinkhorn_iters=15)
         par = run_experiment(small_dataset, est, small_grid, seed=0, jobs=4)
         assert report_to_json_dict(par) == report_to_json_dict(small_report)
 
     def test_attack_error_becomes_diagnostic_record(self, small_dataset):
         grid = [GridEntry("fgsm", AttackConfig(
             eps=0.05, mask=make_target_mask("all-channels")))]
-        est = OTEstimator(OTConfig(sinkhorn_iters=15))
+        est = OTEstimator(sinkhorn_iters=15)
         # dataset has no colors: the cell fails but the run completes
         report = run_experiment(small_dataset, est, grid, seed=0)
         assert all(r.error is not None for r in report.records)
@@ -222,7 +221,7 @@ class TestRunExperiment:
             {"attack": "fgsm", "eps": 0.1},
             {"attack": "fgsm", "eps": 0.1, "iters": 5, "alpha": 0.3},
         ]]
-        est = OTEstimator(OTConfig(sinkhorn_iters=8))
+        est = OTEstimator(sinkhorn_iters=8)
         report = run_experiment(small_dataset[:2], est, grid, seed=0)
         assert len(report.records) == 4
         for rec in report.records:
@@ -298,7 +297,7 @@ class TestRunExperiment:
         ds = DatasetSpec(n_points=20, with_color=color, angle_range=(0.0, 0.3),
                          translation_scale=0.2, noise_sigma=0.01)
         data = make_dataset(3, ds, seed=23)
-        est = (OTEstimator(OTConfig(sinkhorn_iters=8)) if kind == "ot"
+        est = (OTEstimator(sinkhorn_iters=8) if kind == "ot"
                else TinyNetEstimator(init_weights(6 if color else 3, seed=5)))
         grid = [grid_entry_from_dict(e) for e in [
             {"attack": "none"},
@@ -347,7 +346,7 @@ class TestRunExperiment:
                 ds = DatasetSpec(n_points=20, with_color=color, angle_range=(0.0, 0.3),
                                  translation_scale=0.2, noise_sigma=0.01)
                 data = make_dataset(2, ds, seed=24)
-                for est in (OTEstimator(OTConfig(sinkhorn_iters=8)),
+                for est in (OTEstimator(sinkhorn_iters=8),
                             TinyNetEstimator(init_weights(6 if color else 3, seed=6))):
                     path = tmp_path / "report.json"
                     write_report(run_experiment(data, est, grid, seed=4), json_path=path)
@@ -358,7 +357,7 @@ class TestRunExperiment:
     def test_digest_once_per_run(self, small_dataset, small_grid, counting_est):
         report = run_experiment(small_dataset, counting_est, small_grid, seed=0)
         assert counting_est.digest_calls == 1
-        label = f"ot:{OTEstimator(OTConfig(sinkhorn_iters=5)).config_digest()}"
+        label = f"ot:{OTEstimator(sinkhorn_iters=5).config_digest()}"
         assert {r.estimator for r in report.records} == {label}
 
     def test_requires_gt(self, small_dataset, small_grid, counting_est):
@@ -401,7 +400,7 @@ class TestSerialization:
         assert doc["provenance"]["seed"] == 0
 
     def test_writes_are_byte_identical(self, small_dataset, small_grid, tmp_path):
-        est = OTEstimator(OTConfig(sinkhorn_iters=15))
+        est = OTEstimator(sinkhorn_iters=15)
         for run in ("a", "b"):
             rep = run_experiment(small_dataset, est, small_grid, seed=0)
             write_report(rep, json_path=tmp_path / f"{run}.json",
