@@ -26,8 +26,19 @@ library and writes what it produces under DIR:
 
 `--compare PARENT` writes the same tree for this checkout's `src/` and for
 `PARENT/src/` (a checkout of the parent commit), side by side in two child
-processes, and prints the first file that differs, then any other.  It
-exits 0 when every file is identical and 1 otherwise.
+processes.  It puts every file in one of three classes and prints each file
+that is not byte-identical with its class:
+
+- `identical`: byte for byte;
+- `sig6`: equal once every float is cut to the 6 significant digits the
+  benchmark compares (`format(x, ".6g")`, `rel` included): in the text
+  files every decimal number, in `grads/*.bin` every float64;
+- `digits`: different in printed digits, or a binary file (SFP, SFTN) that
+  differs at all.
+
+For a differing `grads/*.bin` it also prints max |a - b| / max |a| and
+whether every sign agrees.  It exits 0 when every file is identical and 1
+otherwise.
 
 Bitwise outputs depend on the numpy and BLAS build, so compare two trees
 made on one machine; the battery pins BLAS to one thread.  It takes well
@@ -43,10 +54,13 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -88,8 +102,6 @@ def _run(name: str, argv: list) -> None:
 
 
 def _write_grads() -> None:
-    import numpy as np
-
     from sfattack import autodiff as ad
     from sfattack.estimators import (OTEstimator, TinyNetEstimator, epe_loss,
                                      init_weights)
@@ -178,6 +190,33 @@ def differences(a: Path, b: Path) -> list:
             or (a / rel).read_bytes() != (b / rel).read_bytes()]
 
 
+TEXT_SUFFIXES = {".json", ".csv", ".txt", ".svg"}
+# a decimal number with a point or an exponent; integers such as seeds and
+# counts are compared as they are
+_FLOAT = re.compile(rb"(?<![\w.])-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)(?!\w)")
+
+
+def _sig6_text(data: bytes) -> bytes:
+    return _FLOAT.sub(lambda m: format(float(m[0]), ".6g").encode(), data)
+
+
+def classify(rel: Path, a: bytes, b: bytes) -> tuple:
+    """(class, note) of one file present in both trees; see the module doc."""
+    if a == b:
+        return "identical", ""
+    if rel.parts[0] == "grads" and len(a) == len(b) and len(a) % 8 == 0:
+        va, vb = np.frombuffer(a, dtype="<f8"), np.frombuffer(b, dtype="<f8")
+        scale = np.abs(va).max()
+        rel_diff = np.abs(va - vb).max() / scale if scale > 0 else float("inf")
+        signs = "all signs agree" if np.array_equal(np.sign(va), np.sign(vb)) \
+            else f"{np.count_nonzero(np.sign(va) != np.sign(vb))} signs differ"
+        same = [format(x, ".6g") for x in va] == [format(x, ".6g") for x in vb]
+        return ("sig6" if same else "digits"), f"max rel diff {rel_diff:.3g}, {signs}"
+    if rel.suffix in TEXT_SUFFIXES and _sig6_text(a) == _sig6_text(b):
+        return "sig6", ""
+    return "digits", ""
+
+
 def compare(parent: Path, out: Path) -> int:
     parent_src = parent / "src"
     if not (parent_src / "sfattack" / "__init__.py").is_file():
@@ -190,14 +229,23 @@ def compare(parent: Path, out: Path) -> int:
     for side, code in codes.items():
         if code != 0:
             sys.exit(f"identity: the {side} tree failed (exit {code})")
-    diffs = differences(out / "parent", out / "change")
+    a, b = out / "parent", out / "change"
+    diffs = differences(a, b)
+    n_files = len({p.relative_to(side) for side in (a, b) for p in side.rglob("*")
+                   if p.is_file()})
     if not diffs:
-        n_files = sum(1 for p in (out / "change").rglob("*") if p.is_file())
         print(f"identical: {n_files} files under {out}")
         return 0
-    print(f"first difference: {diffs[0]} (trees under {out})")
-    for rel in diffs[1:]:
-        print(f"also differs: {rel}")
+    counts = {"identical": n_files - len(diffs), "sig6": 0, "digits": 0}
+    for rel in diffs:
+        if not (a / rel).is_file() or not (b / rel).is_file():
+            kind, note = "digits", f"only in {'change' if (b / rel).is_file() else 'parent'}"
+        else:
+            kind, note = classify(rel, (a / rel).read_bytes(), (b / rel).read_bytes())
+        counts[kind] += 1
+        print(f"{kind:7} {rel}" + (f"  ({note})" if note else ""))
+    print(f"{n_files} files under {out}: " + ", ".join(
+        f"{n} {kind}" for kind, n in counts.items()))
     return 1
 
 

@@ -9,7 +9,6 @@ flow as a graph tensor so attacks can backpropagate to the first cloud.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -19,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, constant
-from .scene import FlowField, FormatError, LengthError, ScenePair, ValidationError
+from .scene import (FlowField, FormatError, LengthError, ScenePair, ValidationError,
+                    _freeze)
 
 
 class NumericError(ArithmeticError):
@@ -295,7 +295,9 @@ class TinyNetWeights:
         if in_dim not in (3, 6):
             raise ValidationError(f"input width must be 3 or 6, got {in_dim}")
         for name, shape in expect.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            # read-only, like PointCloud's arrays: an estimator may keep what
+            # it computed from them
+            arr = _freeze(getattr(self, name))
             if arr.shape != shape:
                 raise ValidationError(f"{name} must be {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -349,24 +351,35 @@ def knn_indices(query: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
 def _stable_smallest(d: np.ndarray, k: int) -> np.ndarray:
     """The first k columns of a stable argsort of each row, by partial selection.
 
-    The k smallest of a row are every entry below the kth value plus the
-    lowest-index entries equal to it (NaNs sort last: a NaN kth value ties
-    with every NaN and has every other entry below it).  Only those k are
-    then sorted, stably and from index order, which keeps the ties in the
-    order a full stable sort gives.
+    Partial selection finds each row's k smallest entries and its kth value.
+    They are sorted stably from index order, which keeps ties in the order a
+    full stable sort gives.  Where exactly k entries are <= the kth value,
+    the k selected are the stable sort's first k.  Otherwise a tie straddles
+    place k, or the kth value is NaN, and selection may have picked any of
+    the tied entries.  Only on those rows are the k taken from the whole
+    row: every entry below the kth value, then the lowest-index entries equal
+    to it (NaNs sort last: a NaN kth value ties with every NaN and has every
+    other entry below it).
     """
-    kth = np.take_along_axis(d, np.argpartition(d, k - 1, axis=1)[:, k - 1:k], axis=1)
-    below = d < kth
-    ties = d == kth
-    nan_kth = np.isnan(kth[:, 0])
-    if nan_kth.any():
-        ties[nan_kth] = np.isnan(d[nan_kth])
-        below[nan_kth] = ~ties[nan_kth]
-    room = k - np.count_nonzero(below, axis=1, keepdims=True)
-    chosen = below | (ties & (np.cumsum(ties, axis=1) <= room))
-    cand = np.nonzero(chosen)[1].reshape(d.shape[0], k)
-    order = np.argsort(np.take_along_axis(d, cand, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cand, order, axis=1)
+    rows = np.arange(d.shape[0])[:, None]
+    part = np.argpartition(d, k - 1, axis=1)
+    kth = d[rows, part[:, k - 1:k]]
+    cand = np.sort(part[:, :k], axis=1)
+    tied = np.count_nonzero(d <= kth, axis=1) != k
+    if tied.any():
+        tied = np.flatnonzero(tied)
+        dt, kt = d[tied], kth[tied]
+        below = dt < kt
+        ties = dt == kt
+        nan_kth = np.isnan(kt[:, 0])
+        if nan_kth.any():
+            ties[nan_kth] = np.isnan(dt[nan_kth])
+            below[nan_kth] = ~ties[nan_kth]
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        chosen = below | (ties & (np.cumsum(ties, axis=1) <= room))
+        cand[tied] = np.nonzero(chosen)[1].reshape(tied.size, k)
+    order = np.argsort(d[rows, cand], axis=1, kind="stable")
+    return cand[rows, order]
 
 
 class TinyNetEstimator(Estimator):
@@ -377,10 +390,25 @@ class TinyNetEstimator(Estimator):
 
     def __init__(self, weights: TinyNetWeights):
         self.weights = weights
+        # (pc2, w1, b1, w2, b2, encoding): the last second cloud encoded.  Key
+        # and value are one tuple, so a thread reads a matching pair or none,
+        # and holding pc2 keeps its id from being reused.
+        self._e2_memo = None
 
     def flow_tensor(self, pos1, col1, pair):
         w = [constant(a) for a in self.weights.arrays()]
-        return tiny_flow(pos1, col1, pair, w, self.weights.k_neighbors)
+        return tiny_flow(pos1, col1, pair, w, self.weights.k_neighbors,
+                         e2=self._encoded_pc2(pair, w))
+
+    def _encoded_pc2(self, pair, w) -> Tensor:
+        """encode(second cloud) under the encoder weights; a pair's passes
+        all share pc2 and the weights, so it is computed once per pair."""
+        key = (pair.pc2, *(t.data for t in w[:4]))
+        memo = self._e2_memo
+        if memo is None or any(a is not b for a, b in zip(memo, key)):
+            memo = (*key, encode(second_features(pair, self.weights.in_dim == 6), w))
+            self._e2_memo = memo
+        return memo[-1]
 
     def _digest_key(self):
         blob = save_weights(self.weights)
@@ -392,21 +420,24 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     optional relu, recorded as one tape node with a hand-written VJP.
 
     The forward and the VJP are the arithmetic of the matmul, add and relu
-    nodes it replaces, operation for operation.  The VJP skips x's gradient
-    when x is a constant (the second cloud's features).
+    nodes it replaces, operation for operation.  The VJP skips the gradient
+    of each constant operand: x for the second cloud's features, w and b in
+    an attack pass.
     """
     vx, vw = x.data, w.data
     value = vx @ vw + b.data
     if relu:
         mask = value > 0.0
         value = np.where(mask, value, 0.0)
-    x_constant = x.graph is None
+    x_constant, w_constant, b_constant = (t.graph is None for t in (x, w, b))
 
     def vjp(g):
         if relu:
             g = g * mask
         gx = None if x_constant else g @ vw.T
-        return gx, vx.T @ g, g.sum(axis=0, keepdims=True)
+        gw = None if w_constant else vx.T @ g
+        gb = None if b_constant else g.sum(axis=0, keepdims=True)
+        return gx, gw, gb
 
     return ad._emit("dense", (x, w, b), value, vjp)
 
@@ -432,8 +463,9 @@ def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray) -> Tensor:
     logits = (diff * diff).sum(axis=2) * -1.0             # (k, N)
     # per-row shift: softmax-invariant, keeps exp in range
     exps = np.exp(logits - np.maximum.reduce(logits))
-    weights = exps * _np_recip(functools.reduce(np.add, exps))
-    attended = functools.reduce(np.add, weights[:, :, None] * feats)
+    # sums over the leading axis add neighbour rows in order, one at a time
+    weights = exps * _np_recip(exps.sum(axis=0))
+    attended = (weights[:, :, None] * feats).sum(axis=0)
 
     def vjp(g):
         feats = v2[cols]
@@ -455,32 +487,42 @@ def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray) -> Tensor:
     return ad._emit("knn-attention", (e1, e2), attended, vjp)
 
 
+def second_features(pair: ScenePair, use_color: bool) -> Tensor:
+    """The tiny net's input for the second cloud: positions, then colours."""
+    if use_color and not pair.pc2.has_colors:
+        raise ValidationError("weights expect colors but the pair has none")
+    pos2 = constant(pair.pc2.positions)
+    return ad.concat(pos2, constant(pair.pc2.colors)) if use_color else pos2
+
+
+def encode(x: Tensor, w: list[Tensor]) -> Tensor:
+    """The per-point encoder, the first two of the weight tensors' layers."""
+    w1, b1, w2, b2 = w[:4]
+    return dense(dense(x, w1, b1, True), w2, b2, True)
+
+
 def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
               w: list[Tensor], k_neighbors: int,
-              idx: Optional[np.ndarray] = None) -> Tensor:
+              idx: Optional[np.ndarray] = None,
+              e2: Optional[Tensor] = None) -> Tensor:
     """Differentiable tiny-net forward with explicit weight tensors.
 
     Neighbor indices are hard (recomputed from the current, possibly
     perturbed, first-cloud positions against the unperturbed second cloud);
     gradients flow through the attention logits only.  `idx` passes in
-    knn_indices(pos1.data, pair.pc2.positions, k_neighbors) when the caller
-    already has it.
+    knn_indices(pos1.data, pair.pc2.positions, k_neighbors), and `e2`
+    passes in encode(second_features(pair, ...), w), when the caller
+    already has them.
     """
-    w1, b1, w2, b2, w3, b3, w4, b4 = w
-    in_dim = w1.shape[0]
-    use_color = in_dim == 6
-    if use_color and (col1 is None or not pair.pc2.has_colors):
+    w3, b3, w4, b4 = w[4:]
+    use_color = w[0].shape[0] == 6
+    if use_color and col1 is None:  # second_features checks pc2
         raise ValidationError("weights expect colors but the pair has none")
 
     f1 = ad.concat(pos1, col1) if use_color else pos1
-    pos2 = constant(pair.pc2.positions)
-    f2 = ad.concat(pos2, constant(pair.pc2.colors)) if use_color else pos2
-
-    def encode(x):
-        return dense(dense(x, w1, b1, True), w2, b2, True)
-
-    e1 = encode(f1)                                       # (N, 32)
-    e2 = encode(f2)                                       # (M, 32)
+    e1 = encode(f1, w)                                    # (N, 32)
+    if e2 is None:
+        e2 = encode(second_features(pair, use_color), w)  # (M, 32)
 
     if idx is None:
         idx = knn_indices(pos1.data, pair.pc2.positions, k_neighbors)

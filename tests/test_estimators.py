@@ -1,5 +1,7 @@
 import itertools
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from sfattack import autodiff as ad
 from sfattack import estimators
-from sfattack.attacks import AttackConfig
+from sfattack.attacks import AttackConfig, clean_pass, pgd_sf
 from sfattack.autodiff import Graph, constant
 from sfattack.scene import (
     FlowField,
@@ -440,6 +442,88 @@ class TestTinyNet:
         with pytest.raises(ValidationError):
             init_weights(4, seed=0)
 
+    def test_weights_are_read_only(self):
+        w = init_weights(3, seed=0)
+        for arr in w.arrays():
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            w.w1[0, 0] = 1.0
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """The calls to second_features, one per encoding of a second cloud."""
+        calls = []
+        real = estimators.second_features
+        monkeypatch.setattr(estimators, "second_features",
+                            lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])
+    def test_pair_encodes_second_cloud_once(self, encodes, with_color):
+        # a clean pass, PGD's steps and the scoring pass of the attacked pair
+        # all share pc2: it is encoded once, and every flow keeps its bits
+        w = init_weights(6 if with_color else 3, seed=7)
+        pair = make_pair(24, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0),
+                                        noise_sigma=0.02), with_color, seed=8)
+        cfg = AttackConfig(eps=0.05, iters=4, random_start=True)
+
+        class Fresh(TinyNetEstimator):
+            # no memo: tiny_flow encodes pc2 itself on every pass
+            def flow_tensor(self, pos1, col1, pair):
+                w = [constant(a) for a in self.weights.arrays()]
+                return tiny_flow(pos1, col1, pair, w, self.weights.k_neighbors)
+
+        ref = Fresh(w)
+        ref_clean = clean_pass(pair, ref)
+        ref_adv = pgd_sf(pair, ref, cfg, seed=5, clean=ref_clean).adv_pc1
+        ref_flow = ref.estimate(replace(pair, pc1=ref_adv)).vectors
+        encodes.clear()
+
+        est = TinyNetEstimator(w)
+        clean = clean_pass(pair, est)
+        adv = pgd_sf(pair, est, cfg, seed=5, clean=clean).adv_pc1
+        flow = est.estimate(replace(pair, pc1=adv)).vectors
+        assert len(encodes) == 1
+        assert clean[0] == ref_clean[0]
+        assert [g.tobytes() for g in clean[1:] if g is not None] == \
+            [g.tobytes() for g in ref_clean[1:] if g is not None]
+        assert adv.positions.tobytes() == ref_adv.positions.tobytes()
+        assert flow.tobytes() == ref_flow.tobytes()
+
+    def test_new_pair_or_weights_reencode(self, encodes):
+        a, b = (make_pair(10, MotionSpec(angle=0.1), False, seed=s) for s in (1, 2))
+        est = TinyNetEstimator(init_weights(3, seed=0))
+        flows = [est.estimate(p).vectors for p in (a, a, b, a)]
+        assert len(encodes) == 3
+        assert flows[0].tobytes() == flows[1].tobytes() == flows[3].tobytes()
+        est.weights = init_weights(3, seed=1)
+        fresh = TinyNetEstimator(est.weights).estimate(a).vectors
+        assert est.estimate(a).vectors.tobytes() == fresh.tobytes()
+        assert len(encodes) == 5
+
+    def test_shared_memo_under_threads(self):
+        # four threads on two CPUs, switching every microsecond, each
+        # alternating between pairs: a stale encoding would move a flow
+        pairs = [make_pair(16, MotionSpec(angle=0.1 * s), False, seed=s) for s in range(3)]
+        w = init_weights(3, seed=2)
+        expect = [TinyNetEstimator(w).estimate(p).vectors.tobytes() for p in pairs]
+        est = TinyNetEstimator(w)
+
+        def work(start):
+            return [(i % 3, est.estimate(pairs[i % 3]).vectors.tobytes())
+                    for i in range(start, start + 60)]
+
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work, t) for t in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(saved)
+        for got in results:
+            assert all(flow == expect[i] for i, flow in got)
+
     def test_gradient_reaches_positions(self):
         w = init_weights(3, seed=202)
         pair = make_pair(8, MotionSpec(angle=0.25, translation=(0.1, 0.0, 0.0),
@@ -476,6 +560,18 @@ class TestDense:
                   g.leaf(np.zeros((1, 2))), True)
         gx, gw, gb = g._nodes[y.node_id].vjp(np.ones((6, 2)))
         assert gx is None and gw.shape == (3, 2) and gb.shape == (1, 2)
+
+    def test_constant_weights_skip_gradients(self):
+        # an attack pass: only x is tracked, so the VJP computes x's gradient
+        rng = np.random.default_rng(6)
+        g = Graph()
+        w = rng.normal(size=(3, 2))
+        x = g.leaf(rng.normal(size=(6, 3)))
+        y = dense(x, constant(w), constant(np.zeros((1, 2))), True)
+        g_out = np.ones((6, 2))
+        gx, gw, gb = g._nodes[y.node_id].vjp(g_out)
+        assert gw is None and gb is None
+        assert gx.tobytes() == ((g_out * (y.data > 0.0)) @ w.T).tobytes()
 
     @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
     def test_gradcheck(self, relu):
@@ -603,6 +699,7 @@ class TestKnnAttention:
 class TestKnnSelection:
     def test_matches_stable_argsort(self):
         rng = np.random.default_rng(13)
+        tied = rows = 0
         for case in range(20_000):
             d = rng.integers(-2, 3, size=rng.integers(1, 9, size=2)).astype(float)
             if case % 2:
@@ -613,6 +710,31 @@ class TestKnnSelection:
             k = int(rng.integers(1, d.shape[1] + 1))
             expect = np.argsort(d, axis=1, kind="stable")[:, :k]
             assert np.array_equal(_stable_smallest(d, k), expect)
+            kth = np.sort(d, axis=1)[:, k - 1:k]
+            tied += np.count_nonzero(np.count_nonzero(d <= kth, axis=1) != k)
+            rows += d.shape[0]
+        # both ways of picking the k run often: rows tied at place k (or
+        # with a NaN kth value) and rows where selection alone decides
+        assert 0.2 < tied / rows < 0.8
+
+    def test_mixed_rows(self):
+        # untied rows, rows tied across place k, rows whose kth value is NaN
+        # (or inf, or -inf) and a row tied inside the k, in one matrix
+        nan, inf = np.nan, np.inf
+        d = np.array([
+            [5.0, 1.0, 4.0, 2.0, 3.0, 0.5],
+            [2.0, 1.0, 2.0, 0.0, 2.0, 3.0],
+            [nan, 0.0, nan, nan, 1.0, nan],
+            [1.0, 1.0, 0.0, 9.0, 8.0, 7.0],
+            [inf, 0.0, inf, nan, inf, -inf],
+            [3.0, -inf, -inf, -inf, -inf, 1.0],
+            [6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+            [nan, nan, nan, nan, nan, nan],
+        ])
+        for k in range(1, d.shape[1] + 1):
+            expect = np.argsort(d, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_stable_smallest(d, k), expect), k
+        assert _stable_smallest(d, 3).tolist()[:3] == [[5, 1, 3], [3, 1, 0], [1, 4, 0]]
 
     @pytest.mark.parametrize("kind", ["integer", "huge", "permuted"])
     def test_clouds_match_stable_argsort(self, kind):
