@@ -11,9 +11,17 @@ in sfattack.estimators next to their callers: median-scale, sinkhorn, dense
 (one tiny-net layer) and knn-attention.  add and sub take operands of equal
 shape, and concat joins two matrices column-wise.
 
+The tape keeps only what a VJP reads.  A leaf node keeps its value, from
+which backward() shapes a zero gradient; every other node stores one
+shared, read-only, zero-length array, and its value lives only as long as
+the Tensor the caller holds.  Each VJP closure captures just the arrays it
+reads: matmul keeps the operand the other one's gradient needs, and
+nothing for a constant operand, so an OT pass does not pin its transport
+plan.  The tape's memory is then what the closures hold.
+
 backward() releases the tape as it goes: once a node's gradient has been
-passed to its parents, the node's value, its VJP closure and its gradient
-are dropped, since every consumer of the node lies later on the tape.  Peak
+passed to its parents, the node, its VJP closure and its gradient are
+dropped, since every consumer of the node lies later on the tape.  Peak
 memory is then about one tape, not a tape plus a gradient per node.  VJP
 closures capture arrays and shapes, never Tensors, so no reference cycle
 ties a graph to itself and reference counting frees it.
@@ -49,6 +57,12 @@ class _Node:
     vjp: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]]
 
 
+# the value a non-leaf node stores: no VJP reads a node's value from the
+# tape, and readers of value.nbytes count it as 0
+_NO_VALUE = np.empty(0)
+_NO_VALUE.flags.writeable = False
+
+
 class Graph:
     """Append-only tape of primitive operations; backward() consumes it."""
 
@@ -69,7 +83,9 @@ class Graph:
         return self._record("leaf", (), value, None)
 
     def _record(self, tag, parent_ids, value, vjp) -> "Tensor":
-        self._nodes.append(_Node(tag, tuple(parent_ids), value, vjp))
+        # only a leaf (no VJP) keeps its value, to shape its zero gradient
+        stored = value if vjp is None else _NO_VALUE
+        self._nodes.append(_Node(tag, tuple(parent_ids), stored, vjp))
         return Tensor(value, self, len(self._nodes) - 1)
 
 
@@ -147,10 +163,13 @@ def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul needs (N,K)x(K,M), got {a.shape} and {b.shape}")
-    va, vb = a.data, b.data
-    ta, tb = a.graph is not None, b.graph is not None  # a constant operand gets None
-    return _emit("matmul", (a, b), va @ vb,
-                 lambda g: (g @ vb.T if ta else None, va.T @ g if tb else None))
+    # each operand's gradient reads only the other operand, so the VJP keeps
+    # b only if a is tracked and a only if b is; a constant operand gets None
+    keep_b = b.data if a.graph is not None else None
+    keep_a = a.data if b.graph is not None else None
+    return _emit("matmul", (a, b), a.data @ b.data,
+                 lambda g: (None if keep_b is None else g @ keep_b.T,
+                            None if keep_a is None else keep_a.T @ g))
 
 
 # -- reductions and shape primitives ------------------------------------
@@ -226,8 +245,9 @@ def backward(root: Tensor) -> dict[int, np.ndarray]:
     """Reverse sweep from a scalar root; returns gradients for every leaf.
 
     The graph is consumed: a second backward over the same graph raises.
-    Each non-leaf node up to the root is released (value, VJP closure and
-    gradient) as soon as its gradient has been propagated; leaves are kept.
+    Each non-leaf node up to the root is released (its VJP closure, with the
+    arrays it captured, and its gradient) as soon as its gradient has been
+    propagated; leaves are kept.
     """
     if root.graph is None:
         raise GraphError("root is not attached to a graph")

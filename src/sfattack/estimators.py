@@ -422,21 +422,23 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     The forward and the VJP are the arithmetic of the matmul, add and relu
     nodes it replaces, operation for operation.  The VJP skips the gradient
     of each constant operand: x for the second cloud's features, w and b in
-    an attack pass.
+    an attack pass.  It keeps only what it reads: w for x's gradient, x for
+    w's.
     """
-    vx, vw = x.data, w.data
-    value = vx @ vw + b.data
+    value = x.data @ w.data + b.data
     if relu:
         mask = value > 0.0
         value = np.where(mask, value, 0.0)
-    x_constant, w_constant, b_constant = (t.graph is None for t in (x, w, b))
+    keep_w = w.data if x.graph is not None else None
+    keep_x = x.data if w.graph is not None else None
+    b_tracked = b.graph is not None
 
     def vjp(g):
         if relu:
             g = g * mask
-        gx = None if x_constant else g @ vw.T
-        gw = None if w_constant else vx.T @ g
-        gb = None if b_constant else g.sum(axis=0, keepdims=True)
+        gx = None if keep_w is None else g @ keep_w.T
+        gw = None if keep_x is None else keep_x.T @ g
+        gb = g.sum(axis=0, keepdims=True) if b_tracked else None
         return gx, gw, gb
 
     return ad._emit("dense", (x, w, b), value, vjp)

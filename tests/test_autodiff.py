@@ -7,7 +7,7 @@ import pytest
 
 from sfattack import autodiff as ad
 from sfattack import estimators
-from sfattack.estimators import OTEstimator, epe_loss, init_weights, tiny_flow
+from sfattack.estimators import OTEstimator, dense, epe_loss, init_weights, tiny_flow
 from sfattack.synth import MotionSpec, make_pair
 
 import oracle_ops as ops
@@ -187,7 +187,8 @@ class TestTapeRelease:
     def test_backward_frees_the_tape_as_it_goes(self, monkeypatch, unrolled_sinkhorn):
         # keeping every node and every gradient until the sweep ends needs
         # about one more tape of memory; freeing as it goes needs a sliver.
-        # The unrolled Sinkhorn gives a long tape of N x M nodes to free.
+        # The unrolled Sinkhorn gives a long tape of N x M nodes to free; the
+        # tape is what the forward leaves alive, since its closures hold it.
         monkeypatch.setattr(estimators, "sinkhorn", unrolled_sinkhorn)
         pair = make_pair(128, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
                          with_color=False, seed=0)
@@ -196,11 +197,10 @@ class TestTapeRelease:
             g = ad.Graph()
             pos1 = g.leaf(pair.pc1.positions)
             loss = epe_loss(OTEstimator().flow_tensor(pos1, None, pair), pair.gt_flow)
-            tape_bytes = sum(node.value.nbytes for node in g._nodes)
-            at_entry = tracemalloc.get_traced_memory()[0]
+            tape_bytes = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             grads = ad.backward(loss)
-            extra = tracemalloc.get_traced_memory()[1] - at_entry
+            extra = tracemalloc.get_traced_memory()[1] - tape_bytes
         finally:
             tracemalloc.stop()
         assert np.abs(grads[pos1.node_id]).max() > 0.0
@@ -226,6 +226,60 @@ class TestTapeRelease:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestTapeKeepsWhatVjpsRead:
+    """Only a leaf stores its value; a VJP closure keeps only what it reads."""
+
+    @pytest.mark.parametrize("net", ["ot-color", "tiny-train"])
+    def test_only_leaves_store_values(self, net):
+        pair = make_pair(32, MotionSpec(angle=0.2), with_color=net == "ot-color", seed=2)
+        g = ad.Graph()
+        if net == "ot-color":
+            given = [pair.pc1.positions, pair.pc1.colors]
+            leaves = [g.leaf(v) for v in given]
+            flow = OTEstimator().flow_tensor(*leaves, pair)
+        else:
+            w = init_weights(3, seed=0)
+            given = [pair.pc1.positions] + w.arrays()
+            leaves = [g.leaf(v) for v in given]
+            flow = tiny_flow(leaves[0], None, pair, leaves[1:], w.k_neighbors)
+        loss = epe_loss(flow, pair.gt_flow)
+        leaf_ids = {t.node_id for t in leaves}
+        others = [node.value for i, node in enumerate(g._nodes) if i not in leaf_ids]
+        assert len(others) > len(leaves)
+        assert all(v.nbytes == 0 and not v.flags.writeable for v in others)
+        grads = ad.backward(loss)
+        for t, v in zip(leaves, given):
+            assert g._nodes[t.node_id].value is v
+            assert grads[t.node_id].shape == v.shape
+
+    @pytest.mark.parametrize("tracked", ["left", "right"])
+    @pytest.mark.parametrize("op", ["matmul", "dense"])
+    def test_closure_keeps_only_the_operand_it_reads(self, op, tracked):
+        # the tracked operand's gradient reads only the constant operand, and
+        # nothing reads the tracked one's array: it is freed with its holder
+        rng = np.random.default_rng(7)
+        left, right = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
+        mine, other = (left, right) if tracked == "left" else (right, left)
+        bias = ad.constant(np.zeros((1, 5)))
+
+        def apply(t, c):
+            a, b = (t, c) if tracked == "left" else (c, t)
+            return ad.matmul(a, b) if op == "matmul" else dense(a, b, bias, True)
+
+        g = ad.Graph()
+        base = g.leaf(mine)
+        t, c = ad.smul(base, 1.0), other.copy()  # t: tracked, and not a leaf
+        y = apply(t, ad.constant(c))
+        t_ref, c_ref = weakref.ref(t.data), weakref.ref(c)
+        del t, c
+        assert t_ref() is None and c_ref() is not None
+        grad = ad.backward(ad.tmean(y))[base.node_id]
+        g = ad.Graph()
+        base = g.leaf(mine)
+        y = apply(base, ad.constant(other))
+        assert grad.tobytes() == ad.backward(ad.tmean(y))[base.node_id].tobytes()
 
 
 def _recipes():

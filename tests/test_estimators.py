@@ -1,6 +1,7 @@
 import itertools
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -162,6 +163,11 @@ def _rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
+def _colored_pair(n):
+    return make_pair(n, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
+                     with_color=True, seed=0)
+
+
 class TestFusedSinkhorn:
     @pytest.mark.parametrize("iters", [1, 30])
     @pytest.mark.parametrize("shape", [(6, 6), (5, 9), (9, 4)],
@@ -229,9 +235,9 @@ class TestFusedSinkhorn:
             assert np.array_equal(np.sign(grad), np.sign(ref))
 
     def test_memory_bounded_in_n(self):
-        # the unrolled tape held about 130 N x M arrays for one pass
-        pair = make_pair(256, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
-                         with_color=True, seed=0)
+        # the unrolled tape held about 130 N x M arrays for one pass; the
+        # fused pass peaks at 6.2, since the tape keeps only what VJPs read
+        pair = _colored_pair(256)
         nm_bytes = pair.pc1.n_points * pair.pc2.n_points * 8
         tracemalloc.start()
         try:
@@ -242,7 +248,42 @@ class TestFusedSinkhorn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * nm_bytes
+        assert peak < 7.75 * nm_bytes
+
+    def test_forward_keeps_what_vjps_read(self):
+        # three N x M arrays: the squared distances and the summed cost, read
+        # by the two median scalings' VJPs, and Sinkhorn's K0; plus the
+        # scaling vectors
+        pair = _colored_pair(256)
+        nm_bytes = pair.pc1.n_points * pair.pc2.n_points * 8
+        tracemalloc.start()
+        try:
+            g = Graph()
+            pos1, col1 = g.leaf(pair.pc1.positions), g.leaf(pair.pc1.colors)
+            flow = OTEstimator().flow_tensor(pos1, col1, pair)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert flow.shape == (256, 3)
+        assert live <= 4 * nm_bytes
+
+    def test_flow_does_not_pin_the_plan(self, monkeypatch):
+        # the plan's gradient reads pos2, and no VJP reads the plan itself
+        plans = []
+
+        def recording_sinkhorn(cost, reg, iters):
+            plan = sinkhorn(cost, reg, iters)
+            plans.append(weakref.ref(plan.data))
+            return plan
+
+        monkeypatch.setattr(estimators, "sinkhorn", recording_sinkhorn)
+        pair = _colored_pair(256)
+        g = Graph()
+        pos1, col1 = g.leaf(pair.pc1.positions), g.leaf(pair.pc1.colors)
+        flow = OTEstimator().flow_tensor(pos1, col1, pair)
+        assert len(plans) == 1 and plans[0]() is None
+        grads = ad.backward(epe_loss(flow, pair.gt_flow))
+        assert np.abs(grads[pos1.node_id]).max() > 0.0
 
     @pytest.mark.parametrize("with_color, nodes", [(False, 10), (True, 13)],
                              ids=["plain", "color"])
