@@ -11,7 +11,10 @@ library and writes what it produces under DIR:
   directional grid of acceptance criterion 6 (64 rigid pairs of 256 points,
   OT) and for coloured rigid and deform pairs (OT and the tiny net) with
   colour-channel, single-dimension and random-start cells;
-- `models/`: the SFTN weights `train` writes;
+- `models/`: the SFTN weights `train` writes: a coloured model trained on
+  12 pairs (3 full minibatches), and a plain one on 10 pairs whose second
+  clouds lost a fifth of their points (so a minibatch of 2 ends each
+  epoch);
 - `attack/`: adversarial SFP files and attack summaries of `attack` runs:
   FGSM on colour channels and on one dimension of the tiny net, PGD with
   and without a random start, and the random baseline;
@@ -145,6 +148,10 @@ def write_tree(out: Path) -> None:
             "--color", "--noise", 0.01, "--seed", 5, "--out", f"data/{motion}"])
     _run("train", ["train", "--data", "data/rigid", "--epochs", 3, "--lr", 0.1,
                    "--out", "models/tiny_color.sftn"])
+    _run("generate_ragged", ["generate", "--scenes", 10, "--points", 64, "--drop", 0.2,
+                             "--seed", 8, "--out", "data/ragged"])
+    _run("train_ragged", ["train", "--data", "data/ragged", "--epochs", 3,
+                          "--out", "models/tiny_plain_ragged.sftn"])
 
     runs = [("directional_ot", "ot", "directional", "directional")]
     for motion in ("rigid", "deform"):

@@ -4,12 +4,16 @@ A Graph is a tape: operations append nodes in topological order, and
 backward() sweeps the tape once in reverse.  Tensors are thin handles
 around numpy arrays; a tensor either lives on a graph (tracked) or is a
 plain constant.  The primitive set is only what the two estimators, the
-EPE loss and the trainer record: elementwise add/sub, scalar-mul, matmul,
-mean, concat, rowwise L2 norm, and pairwise squared distances.  Four fused
-nodes with hand-written VJPs go through _emit like any primitive; they live
-in sfattack.estimators next to their callers: median-scale, sinkhorn, dense
-(one tiny-net layer) and knn-attention.  add and sub take operands of equal
-shape, and concat joins two matrices column-wise.
+EPE loss and the trainer record: elementwise add/sub, matmul, mean,
+concat, stack-rows, gather-rows, rowwise L2 norm, and pairwise squared
+distances; and scalar-mul, which the fixed acceptance tests use.  Five
+fused nodes with hand-written VJPs go through _emit like any primitive;
+they live in sfattack.estimators next to their callers: median-scale,
+sinkhorn, dense (one tiny-net layer), knn-attention and pair-means (a
+training minibatch's loss).  add and sub take operands of equal shape,
+concat joins two matrices column-wise, stack-rows joins matrices row-wise,
+and gather-rows picks rows by index (a tiny-net minibatch's first clouds
+out of its stacked encodings).
 
 The tape keeps only what a VJP reads.  A leaf node keeps its value, from
 which backward() shapes a zero gradient; every other node stores one
@@ -192,6 +196,43 @@ def concat(a, b) -> Tensor:
     split = a.shape[1]
     return _emit("concat", (a, b), np.concatenate([a.data, b.data], axis=1),
                  lambda g: (g[:, :split], g[:, split:]))
+
+
+def stack_rows(parts) -> Tensor:
+    """Join matrices with the same number of columns row-wise, in order."""
+    parts = [_coerce(p) for p in parts]
+    if not parts or any(p.data.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
+        raise ShapeError(f"stack-rows needs (N_i,K) matrices, got {[p.shape for p in parts]}")
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+    return _emit("stack-rows", parts, np.concatenate([p.data for p in parts], axis=0),
+                 lambda g: [g[s:e] for s, e in zip(bounds[:-1], bounds[1:])])
+
+
+def gather_rows(a, indices) -> Tensor:
+    """Rows of a matrix picked by a flat index list; a row may repeat, and
+    its gradient is then the sum of its copies' gradients."""
+    a = _coerce(a)
+    if a.data.ndim != 2:
+        raise ShapeError("gather-rows expects a matrix")
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError("gather-rows indices must be a flat list")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeError("gather-rows index out of range")
+    shape = a.shape
+    # rows in increasing order are distinct, and take a plain scatter:
+    # np.add.at is several times slower
+    distinct = bool(np.all(idx[1:] > idx[:-1]))
+
+    def vjp(g):
+        out = np.zeros(shape)
+        if distinct:
+            out[idx] = g
+        else:
+            np.add.at(out, idx, g)
+        return (out,)
+
+    return _emit("gather-rows", (a,), a.data[idx], vjp)
 
 
 def rownorm(a) -> Tensor:

@@ -5,6 +5,11 @@ Two estimators share one interface: an entropic optimal-transport matcher
 and a tiny trainable flow-embedding network (per-point encoder plus
 softmax attention over k nearest second-cloud points).  Both expose the
 flow as a graph tensor so attacks can backpropagate to the first cloud.
+The tiny net's forward takes a batch of pairs with their points stacked by
+rows: training records one tape per minibatch, and an attack pass is the
+one-pair case.  Its nodes work per cloud or per pair where the bits
+depend on it, so a minibatch's gradients are those of one sub-graph per
+pair, bit for bit.
 """
 
 from __future__ import annotations
@@ -397,7 +402,7 @@ class TinyNetEstimator(Estimator):
 
     def flow_tensor(self, pos1, col1, pair):
         w = [constant(a) for a in self.weights.arrays()]
-        return tiny_flow(pos1, col1, pair, w, self.weights.k_neighbors,
+        return tiny_flow([pos1], [col1], [pair], w, self.weights.k_neighbors,
                          e2=self._encoded_pc2(pair, w))
 
     def _encoded_pc2(self, pair, w) -> Tensor:
@@ -415,20 +420,35 @@ class TinyNetEstimator(Estimator):
         return (self.tag, hashlib.sha256(blob).hexdigest()[:12])
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool,
+          bounds: Optional[list[int]] = None) -> Tensor:
     """One layer, x @ w + b with the bias row broadcast over rows, then an
     optional relu, recorded as one tape node with a hand-written VJP.
 
-    The forward and the VJP are the arithmetic of the matmul, add and relu
-    nodes it replaces, operation for operation.  The VJP skips the gradient
-    of each constant operand: x for the second cloud's features, w and b in
-    an attack pass.  It keeps only what it reads: w for x's gradient, x for
-    w's.
+    The forward and the VJP give the bits of the matmul, add and relu
+    nodes it replaces.  `bounds`, the row offsets [0, r1, ..., R] of row
+    segments (one segment when None), makes the node compute what one such
+    node per segment would, bit for bit:
+    - each matrix product over rows (x @ w, and g @ w.T in the VJP) is one
+      BLAS call per segment, since BLAS may round a row differently in a
+      taller matrix (another kernel, or another row blocking);
+    - each segment's x_s.T @ g_s and column sum of g_s is formed on its
+      own, and they are added the last segment first, the order in which
+      backward() would add up the per-segment nodes' weight gradients.
+    The VJP skips the gradient of each constant operand: x for the input
+    features, w and b in an attack pass.  It keeps only what it reads: w
+    for x's gradient, x for w's.
     """
-    value = x.data @ w.data + b.data
+    spans = _spans(bounds, x.shape[0])
+    value = _matmul_by_segment(x.data, w.data, spans)
+    value += b.data
     if relu:
         mask = value > 0.0
-        value = np.where(mask, value, 0.0)
+        # np.where(mask, value, 0.0), bit for bit (fmax maps NaN to 0, and
+        # + 0.0 turns -0.0 into 0.0), without np.where's cost on a mask
+        # that flips at random
+        np.fmax(value, 0.0, out=value)
+        value += 0.0
     keep_w = w.data if x.graph is not None else None
     keep_x = x.data if w.graph is not None else None
     b_tracked = b.graph is not None
@@ -436,57 +456,154 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     def vjp(g):
         if relu:
             g = g * mask
-        gx = None if keep_w is None else g @ keep_w.T
-        gw = None if keep_x is None else keep_x.T @ g
-        gb = g.sum(axis=0, keepdims=True) if b_tracked else None
+        gx = None if keep_w is None else _matmul_by_segment(g, keep_w.T, spans)
+        gw = None if keep_x is None else _weight_grad(keep_x, g, spans)
+        gb = _col_sums(g, spans) if b_tracked else None
         return gx, gw, gb
 
     return ad._emit("dense", (x, w, b), value, vjp)
 
 
-def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray) -> Tensor:
+def _spans(bounds: Optional[list[int]], rows: int) -> list[tuple[int, int]]:
+    """The row segments [bounds[i], bounds[i+1]); one of all rows when
+    bounds is None."""
+    bounds = bounds or [0, rows]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _matmul_by_segment(a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
+    """a @ b with one BLAS call per row segment of a."""
+    # segments of one height are one 3-D operand, which numpy multiplies
+    # with the BLAS calls the loop makes, without the loop's per-call cost
+    if _even(spans):
+        return np.matmul(_stack(a, spans), b).reshape(a.shape[0], b.shape[1])
+    out = np.empty((a.shape[0], b.shape[1]))
+    for s, e in spans:
+        np.matmul(a[s:e], b, out=out[s:e])
+    return out
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray, spans) -> np.ndarray:
+    """The sum of x_s.T @ g_s over the row segments, the last first."""
+    if _even(spans):
+        return _sum_last_first(np.matmul(_stack(x, spans).transpose(0, 2, 1),
+                                         _stack(g, spans)))
+    return _sum_last_first([x[s:e].T @ g[s:e] for s, e in spans])
+
+
+def _col_sums(g: np.ndarray, spans) -> np.ndarray:
+    """The sum of g_s's column sums over the row segments, the last first."""
+    if _even(spans):
+        return _sum_last_first(_stack(g, spans).sum(axis=1, keepdims=True))
+    return _sum_last_first([g[s:e].sum(axis=0, keepdims=True) for s, e in spans])
+
+
+def _even(spans) -> bool:
+    """Whether the row segments are all of one height."""
+    return len({e - s for s, e in spans}) == 1
+
+
+def _stack(a: np.ndarray, spans) -> np.ndarray:
+    """Equal row segments of a as one 3-D array."""
+    return a.reshape(len(spans), -1, a.shape[1])
+
+
+def _sum_last_first(terms) -> np.ndarray:
+    """terms[-1] + terms[-2] + ... + terms[0], added in that order."""
+    total = terms[-1].copy()
+    for term in terms[-2::-1]:
+        total += term
+    return total
+
+
+def knn_attention(e1: Tensor, e2: Tensor, idx: np.ndarray,
+                  bounds: Optional[list[int]] = None) -> Tensor:
     """Softmax attention of each row of e1 over its neighbour rows of e2,
     recorded as one tape node with a hand-written VJP.
 
     Row i attends over e2[idx[i, j]], j < k, with the logits
-    -|e1[i] - e2[idx[i, j]]|^2.
+    -|e1[i] - e2[idx[i, j]]|^2.  A negative index marks an absent
+    neighbour, whose weight is 0: in a batch of pairs, it pads the rows of
+    a pair with fewer second-cloud points than k.
     The forward is the per-neighbour arithmetic of the graph it replaces,
     operation for operation: logits shifted by their per-row maximum,
     exponentials and weighted features summed in neighbour order, and the
     reciprocal as exp(-log(total)).  The VJP is the softmax gradient; it
     regathers the neighbour rows instead of keeping the (k, N, H) arrays,
     and skips e2's scatter when e2 is a constant (as in an attack pass).
+
+    `bounds`, the row offsets of e1's segments (one segment when None),
+    makes the forward and the VJP run segment by segment, so a (k, rows, H)
+    array holds one segment's rows.  Rows are independent until the VJP
+    scatters them into e2, and each segment's rows are scattered on their
+    own.  Where the segments' neighbours are disjoint rows of e2, as each
+    pair's own second cloud is in a batch of pairs, every row of e2 then
+    adds its gradient terms in the order one node per segment would.
     """
     v1, v2 = e1.data, e2.data
     e2_constant = e2.graph is None
     cols = idx.T                                          # (k, N): neighbour j of each row
-    feats = v2[cols]                                      # (k, N, H)
-    diff = v1 - feats
-    logits = (diff * diff).sum(axis=2) * -1.0             # (k, N)
-    # per-row shift: softmax-invariant, keeps exp in range
-    exps = np.exp(logits - np.maximum.reduce(logits))
-    # sums over the leading axis add neighbour rows in order, one at a time
-    weights = exps * _np_recip(exps.sum(axis=0))
-    attended = (weights[:, :, None] * feats).sum(axis=0)
+    absent = cols < 0
+    padded = absent.any()
+    if padded:
+        cols = np.where(absent, 0, cols)
+    spans = _spans(bounds, v1.shape[0])
+    weights, attended = np.empty(cols.shape), np.empty_like(v1)
+    for s, e in spans:
+        _attention(v1[s:e], v2, cols[:, s:e], absent[:, s:e] if padded else None,
+                   weights[:, s:e], attended[s:e])
 
     def vjp(g):
-        feats = v2[cols]
-        # d loss / d logit_j = w_j (<g, f_j> - <g, attended>)
-        glogit = weights * ((feats * g).sum(axis=2) - (g * attended).sum(axis=1))
-        # d logit_j / d e1 = -2 (e1 - f_j) = -d logit_j / d f_j
-        gdiff = np.subtract(v1, feats, out=feats)
-        gdiff *= 2.0 * glogit[:, :, None]
-        g1 = -gdiff.sum(axis=0)
-        if e2_constant:
-            return g1, None
-        gdiff += weights[:, :, None] * g
-        # scatter-add all N·k rows at once, by flat (row, column) slot of e2
-        m, h = v2.shape
-        slots = (cols.reshape(-1, 1) * h + np.arange(h)).ravel()
-        g2 = np.bincount(slots, weights=gdiff.ravel(), minlength=m * h).reshape(m, h)
+        g1 = np.empty_like(v1)
+        g2 = None if e2_constant else np.zeros(v2.shape)
+        for s, e in spans:
+            _attention_vjp(v1[s:e], v2, cols[:, s:e], weights[:, s:e], attended[s:e],
+                           g[s:e], g1[s:e], g2)
         return g1, g2
 
     return ad._emit("knn-attention", (e1, e2), attended, vjp)
+
+
+def _attention(v1, v2, cols, absent, weights, attended) -> None:
+    """knn_attention's forward for one segment of rows: writes the softmax
+    weights (k, N_s) and the attended features (N_s, H)."""
+    feats = v2[cols]                                      # (k, N_s, H)
+    diff = v1 - feats
+    diff *= diff
+    logits = diff.sum(axis=2) * -1.0                      # (k, N_s)
+    del diff
+    if absent is not None:
+        logits[absent] = -np.inf
+    # per-row shift: softmax-invariant, keeps exp in range
+    exps = np.exp(logits - np.maximum.reduce(logits))
+    # sums over the leading axis add neighbour rows in order, one at a time
+    np.multiply(exps, _np_recip(exps.sum(axis=0)), out=weights)
+    feats *= weights[:, :, None]
+    feats.sum(axis=0, out=attended)
+
+
+def _attention_vjp(v1, v2, cols, weights, attended, g, g1, g2) -> None:
+    """knn_attention's VJP for one segment of rows: writes e1's gradient
+    into g1 and, unless g2 is None, adds the rows' share of e2's into g2."""
+    feats = v2[cols]                                      # (k, N_s, H)
+    scratch = np.multiply(feats, g)
+    # d loss / d logit_j = w_j (<g, f_j> - <g, attended>)
+    glogit = weights * (scratch.sum(axis=2) - (g * attended).sum(axis=1))
+    # d logit_j / d e1 = -2 (e1 - f_j) = -d logit_j / d f_j
+    gdiff = np.subtract(v1, feats, out=feats)
+    gdiff *= 2.0 * glogit[:, :, None]
+    np.negative(gdiff.sum(axis=0), out=g1)
+    if g2 is None:
+        return
+    del scratch
+    gdiff += weights[:, :, None] * g
+    # scatter-add the N_s·k rows at once, by flat (row, column) slot of the
+    # rows lo:hi of e2 they touch
+    h = v2.shape[1]
+    lo, hi = cols.min(), cols.max() + 1
+    slots = ((cols - lo).reshape(-1, 1) * h + np.arange(h)).ravel()
+    g2[lo:hi] += np.bincount(slots, weights=gdiff.ravel(),
+                             minlength=(hi - lo) * h).reshape(hi - lo, h)
 
 
 def second_features(pair: ScenePair, use_color: bool) -> Tensor:
@@ -497,47 +614,109 @@ def second_features(pair: ScenePair, use_color: bool) -> Tensor:
     return ad.concat(pos2, constant(pair.pc2.colors)) if use_color else pos2
 
 
-def encode(x: Tensor, w: list[Tensor]) -> Tensor:
-    """The per-point encoder, the first two of the weight tensors' layers."""
+def encode(x: Tensor, w: list[Tensor], bounds: Optional[list[int]] = None) -> Tensor:
+    """The per-point encoder, the first two of the weight tensors' layers;
+    `bounds` are the row offsets of the clouds x stacks (see dense)."""
     w1, b1, w2, b2 = w[:4]
-    return dense(dense(x, w1, b1, True), w2, b2, True)
+    return dense(dense(x, w1, b1, True, bounds), w2, b2, True, bounds)
 
 
-def tiny_flow(pos1: Tensor, col1: Optional[Tensor], pair: ScenePair,
-              w: list[Tensor], k_neighbors: int,
-              idx: Optional[np.ndarray] = None,
+def _offsets(tensors) -> list[int]:
+    """Row offsets [0, n0, n0 + n1, ...] of matrices stacked by rows."""
+    out = [0]
+    for t in tensors:
+        out.append(out[-1] + t.shape[0])
+    return out
+
+
+def tiny_flow(pos1: list[Tensor], col1: list[Optional[Tensor]],
+              pairs: list[ScenePair], w: list[Tensor], k_neighbors: int,
+              idx: Optional[list[np.ndarray]] = None,
               e2: Optional[Tensor] = None) -> Tensor:
-    """Differentiable tiny-net forward with explicit weight tensors.
+    """Differentiable tiny-net forward of a batch of pairs, rows stacked.
 
-    Neighbor indices are hard (recomputed from the current, possibly
-    perturbed, first-cloud positions against the unperturbed second cloud);
-    gradients flow through the attention logits only.  `idx` passes in
-    knn_indices(pos1.data, pair.pc2.positions, k_neighbors), and `e2`
-    passes in encode(second_features(pair, ...), w), when the caller
-    already has them.
+    pos1[p] and col1[p] (None without colours) are the first cloud of
+    pairs[p], possibly perturbed; the flows come back stacked by rows, in
+    pair order.  Neighbor indices are hard (recomputed from the current
+    first-cloud positions against the unperturbed second cloud); gradients
+    flow through the attention logits only.  `idx[p]` passes in
+    knn_indices(pos1[p].data, pairs[p].pc2.positions, k_neighbors) when the
+    caller already has it.
+
+    Each layer is one node for the whole batch.  The encoder runs once over
+    the rows [pair 0 pc1, pair 0 pc2, pair 1 pc1, ...]; one row-gather node
+    takes the first clouds' encodings out, and the attention reads each
+    pair's second-cloud rows through neighbour indices offset by that
+    pair's row start.  dense works per cloud (encoder) or per pair (head),
+    so every value and gradient has the bits of a tape with one sub-graph
+    per pair.  For a one-pair call, `e2` passes in
+    encode(second_features(pair, ...), w) when the caller already has it;
+    the encoder then runs over the first cloud alone.
     """
     w3, b3, w4, b4 = w[4:]
     use_color = w[0].shape[0] == 6
-    if use_color and col1 is None:  # second_features checks pc2
+    if use_color and any(c is None for c in col1):  # second_features checks pc2
         raise ValidationError("weights expect colors but the pair has none")
+    if e2 is not None and len(pairs) != 1:
+        raise ValidationError("e2 is the second-cloud encoding of a one-pair call")
 
-    f1 = ad.concat(pos1, col1) if use_color else pos1
-    e1 = encode(f1, w)                                    # (N, 32)
-    if e2 is None:
-        e2 = encode(second_features(pair, use_color), w)  # (M, 32)
-
+    f1 = [ad.concat(p, c) if use_color else p for p, c in zip(pos1, col1)]
     if idx is None:
-        idx = knn_indices(pos1.data, pair.pc2.positions, k_neighbors)
-    attended = knn_attention(e1, e2, idx)                 # (N, 32)
-    h = ad.concat(e1, attended)                           # (N, 64)
-    return dense(dense(h, w3, b3, True), w4, b4, False)
+        idx = [knn_indices(p.data, pair.pc2.positions, k_neighbors)
+               for p, pair in zip(pos1, pairs)]
+    heads = _offsets(f1)                                  # each pair's flow rows
+    if e2 is None:
+        clouds = [f for pair_f in zip(f1, (second_features(p, use_color) for p in pairs))
+                  for f in pair_f]
+        rows = _offsets(clouds)
+        source = encode(ad.stack_rows(clouds), w, rows)   # (sum N + M, 32)
+        e1 = ad.gather_rows(source, np.concatenate(
+            [np.arange(s, e) for s, e in zip(rows[0:-1:2], rows[1::2])]))
+        # each pair's neighbours, offset by its pc2's first row; -1 pads the
+        # rows of a pair whose second cloud has fewer than k points
+        neighbours = np.full((heads[-1], max(i.shape[1] for i in idx)), -1)
+        for s, e, i, start in zip(heads[:-1], heads[1:], idx, rows[1::2]):
+            neighbours[s:e, :i.shape[1]] = i + start
+    else:
+        source, e1, neighbours = e2, encode(f1[0], w), idx[0]
+    attended = knn_attention(e1, source, neighbours, heads)  # (sum N, 32)
+    h = ad.concat(e1, attended)                           # (sum N, 64)
+    return dense(dense(h, w3, b3, True, heads), w4, b4, False, heads)
 
 
 # -- training -------------------------------------------------------------
 
+def _mean_of_pair_means(norms: Tensor, bounds: list[int]) -> Tensor:
+    """The mean over pairs of each pair's mean of `norms`, whose pair p is
+    rows bounds[p]:bounds[p+1], as one tape node.
+
+    The arithmetic of the per-pair graph it replaces: one mean per pair,
+    the means added in pair order, the sum scaled by 1/B.  Row r of pair p
+    gets the gradient (g / B) / N_p.
+    """
+    v = norms.data
+    scale = 1.0 / (len(bounds) - 1)
+    total = None
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        m = v[s:e].mean()
+        total = m if total is None else total + m
+
+    def vjp(g):
+        gs = float(g * scale)
+        return (np.concatenate([np.full(e - s, gs / (e - s))
+                                for s, e in zip(bounds[:-1], bounds[1:])]),)
+
+    return ad._emit("pair-means", (norms,), np.asarray(total * scale), vjp)
+
+
 def train_tiny(dataset: list[ScenePair], epochs: int,
                lr: float, seed: int) -> tuple[TinyNetWeights, list[float]]:
     """Plain full-gradient descent over shuffled minibatches of 4 pairs.
+
+    Each step records one tape for its minibatch: tiny_flow runs each layer
+    once over the batch's row-stacked pairs, and the loss is the mean of
+    the pairs' EPEs.  The weights and the trace have the bits of a tape
+    with one sub-graph per pair (see tiny_flow and dense).
 
     Returns the final weights and the per-epoch mean EPE trace.
     """
@@ -568,17 +747,17 @@ def train_tiny(dataset: list[ScenePair], epochs: int,
         order = rng.permutation(len(dataset))
         epoch_losses = []
         for start in range(0, len(dataset), batch_size):
-            batch = [(dataset[i], neighbours[i]) for i in order[start:start + batch_size]]
+            batch = order[start:start + batch_size]
+            pairs = [dataset[i] for i in batch]
             g = Graph()
             w = [g.leaf(a) for a in arrays]
-            loss = None
-            for pair, idx in batch:
-                pos1 = constant(pair.pc1.positions)
-                col1 = constant(pair.pc1.colors) if with_color else None
-                pred = tiny_flow(pos1, col1, pair, w, weights.k_neighbors, idx=idx)
-                term = epe_loss(pred, pair.gt_flow)
-                loss = term if loss is None else ad.add(loss, term)
-            loss = ad.smul(loss, 1.0 / len(batch))
+            pos1 = [constant(p.pc1.positions) for p in pairs]
+            col1 = [constant(p.pc1.colors) if with_color else None for p in pairs]
+            pred = tiny_flow(pos1, col1, pairs, w, weights.k_neighbors,
+                             idx=[neighbours[i] for i in batch])
+            gt = np.concatenate([p.gt_flow.vectors for p in pairs])
+            loss = _mean_of_pair_means(ad.rownorm(ad.sub(pred, constant(gt))),
+                                       _offsets(pos1))
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")

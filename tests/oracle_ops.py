@@ -7,6 +7,9 @@ from the engine's per-node VJPs: an independent check of each hand-written
 VJP in sfattack.estimators.  add, sub and mul here broadcast further than
 the engine's add and sub: a scalar, (1,1), (1,M), (M,) or (N,1) operand
 meets an (N,M) one, and its gradient is summed back to its shape.
+train_tiny_per_pair is the trainer that records one sub-graph per pair:
+the reference for the bits of estimators.train_tiny, which stacks a
+minibatch's pairs by rows.
 """
 
 import numpy as np
@@ -101,25 +104,6 @@ def row_sum(a) -> Tensor:
                     lambda g: (np.repeat(g, m, axis=1),))
 
 
-def gather_rows(a, indices) -> Tensor:
-    a = ad._coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError("gather-rows expects a matrix")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather-rows indices must be a flat list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError("gather-rows index out of range")
-    shape = a.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return ad._emit("gather-rows", (a,), a.data[idx], vjp)
-
-
 def recip(t) -> Tensor:
     """1/x for strictly positive x, as exp(-log x)."""
     return exp(ad.smul(log(t), -1.0))
@@ -136,14 +120,66 @@ def unrolled_median_scale(cost) -> Tensor:
     r, c = divmod(estimators._lower_median_index(vals.ravel()), m)
     if vals[r, c] <= 1e-300:
         return cost
-    row = gather_rows(cost, [r])                          # (1, m)
+    row = ad.gather_rows(cost, [r])                       # (1, m)
     onehot = np.zeros((m, 1))
     onehot[c, 0] = 1.0
     med = ad.matmul(row, constant(onehot))                # (1, 1)
     return mul(cost, recip(med))
 
 
-def unrolled_dense(x, w, b, relu_on: bool) -> Tensor:
-    """estimators.dense as the matmul, bias add and relu nodes it fuses."""
-    out = add(ad.matmul(x, w), b)
-    return relu(out) if relu_on else out
+def unrolled_dense(x, w, b, relu_on: bool, bounds=None) -> Tensor:
+    """estimators.dense as the matmul, bias add and relu nodes it fuses: one
+    such graph per row segment of x, the segments' outputs stacked by rows."""
+    if bounds is None or len(bounds) == 2:
+        out = add(ad.matmul(x, w), b)
+        return relu(out) if relu_on else out
+    return ad.stack_rows([unrolled_dense(ad.gather_rows(x, np.arange(s, e)), w, b, relu_on)
+                          for s, e in zip(bounds[:-1], bounds[1:])])
+
+
+def per_pair_flow(pos1, col1, pair, w, idx) -> Tensor:
+    """The tiny-net forward of one pair as its own sub-graph: both clouds
+    encoded apart, the second cloud after the first."""
+    dense = estimators.dense
+    w1, b1, w2, b2, w3, b3, w4, b4 = w
+    use_color = w1.shape[0] == 6
+    f1 = ad.concat(pos1, col1) if use_color else pos1
+    e1 = dense(dense(f1, w1, b1, True), w2, b2, True)
+    f2 = estimators.second_features(pair, use_color)
+    e2 = dense(dense(f2, w1, b1, True), w2, b2, True)
+    h = ad.concat(e1, estimators.knn_attention(e1, e2, idx))
+    return dense(dense(h, w3, b3, True), w4, b4, False)
+
+
+def train_tiny_per_pair(dataset, epochs, lr, seed):
+    """estimators.train_tiny with one sub-graph per pair on each minibatch's
+    tape: each pair's loss is its own mean, the losses are added in batch
+    order and scaled by 1/B."""
+    with_color = dataset[0].pc1.has_colors
+    weights = estimators.init_weights(6 if with_color else 3, seed)
+    arrays = [a.copy() for a in weights.arrays()]
+    rng = np.random.default_rng(seed)
+    neighbours = [estimators.knn_indices(p.pc1.positions, p.pc2.positions,
+                                         weights.k_neighbors) for p in dataset]
+    trace = []
+    for _ in range(epochs):
+        order = rng.permutation(len(dataset))
+        losses = []
+        for start in range(0, len(dataset), 4):
+            batch = order[start:start + 4]
+            g = ad.Graph()
+            w = [g.leaf(a) for a in arrays]
+            loss = None
+            for i in batch:
+                pair = dataset[i]
+                col1 = constant(pair.pc1.colors) if with_color else None
+                pred = per_pair_flow(constant(pair.pc1.positions), col1, pair, w,
+                                     neighbours[i])
+                term = estimators.epe_loss(pred, pair.gt_flow)
+                loss = term if loss is None else ad.add(loss, term)
+            loss = ad.smul(loss, 1.0 / len(batch))
+            grads = ad.backward(loss)
+            arrays = [a - lr * grads[t.node_id] for a, t in zip(arrays, w)]
+            losses.append(float(loss.data))
+        trace.append(float(np.mean(losses)))
+    return arrays, trace

@@ -122,6 +122,58 @@ class TestPrimitives:
             ad.pairwise_sqdist(np.zeros(shapes[0]), np.zeros(shapes[1]))
 
 
+class TestRowPrimitives:
+    """stack-rows and gather-rows, which a tiny-net minibatch records."""
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, 4], [4, 0, 2, 2, 4, 1]],
+                             ids=["distinct", "repeated"])
+    def test_gather_rows_gradcheck(self, rows):
+        rng = np.random.default_rng(len(rows))
+        out_w = ad.constant(rng.normal(size=(len(rows), 3)))
+        rep = ad.gradcheck(lambda x: ad.tmean(ops.mul(ad.gather_rows(x, rows), out_w)),
+                           [rng.normal(size=(5, 3))])
+        assert rep.passed and rep.n_coords == 15
+
+    def test_gather_rows_sums_repeats(self):
+        g = ad.Graph()
+        x = g.leaf(np.arange(6.0).reshape(3, 2))
+        picked = ad.gather_rows(x, [2, 0, 2])
+        assert picked.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
+        grad = g._nodes[picked.node_id].vjp(np.arange(6.0).reshape(3, 2))[0]
+        assert grad.tolist() == [[2.0, 3.0], [0.0, 0.0], [4.0, 6.0]]
+
+    def test_stack_rows_gradcheck(self):
+        rng = np.random.default_rng(3)
+        const = ad.constant(rng.normal(size=(2, 4)))
+        out_w = ad.constant(rng.normal(size=(7, 4)))
+        rep = ad.gradcheck(
+            lambda a, b: ad.tmean(ops.mul(ad.stack_rows([a, const, b]), out_w)),
+            [rng.normal(size=(3, 4)), rng.normal(size=(2, 4))])
+        assert rep.passed and rep.n_coords == 20
+
+    def test_constant_parts_record_nothing(self):
+        g = ad.Graph()
+        x = g.leaf(np.ones((2, 3)))
+        stacked = ad.stack_rows([ad.constant(np.zeros((1, 3))), ad.constant(np.ones((2, 3)))])
+        assert stacked.graph is None and stacked.data.tolist() == [[0, 0, 0], [1, 1, 1], [1, 1, 1]]
+        ad.stack_rows([x, ad.constant(np.zeros((1, 3)))])
+        assert [node.tag for node in g._nodes] == ["leaf", "stack-rows"]
+
+    @pytest.mark.parametrize("call", [
+        lambda: ad.gather_rows(np.zeros(3), [0]),
+        lambda: ad.gather_rows(np.zeros((3, 2)), [[0]]),
+        lambda: ad.gather_rows(np.zeros((3, 2)), [3]),
+        lambda: ad.gather_rows(np.zeros((3, 2)), [-1]),
+        lambda: ad.stack_rows([]),
+        lambda: ad.stack_rows([np.zeros((2, 3)), np.zeros((2, 2))]),
+        lambda: ad.stack_rows([np.zeros(3)]),
+    ], ids=["gather-vector", "gather-2d-index", "gather-past-end", "gather-negative",
+            "stack-none", "stack-widths", "stack-vector"])
+    def test_shape_errors(self, call):
+        with pytest.raises(ad.ShapeError):
+            call()
+
+
 class TestConstantOperand:
     """A primitive's VJP returns None for a constant operand's gradient."""
 
@@ -217,7 +269,7 @@ class TestTapeRelease:
             g = ad.Graph()
             pos1 = g.leaf(pair.pc1.positions)
             params = [g.leaf(a) for a in w.arrays()]
-            loss = epe_loss(tiny_flow(pos1, None, pair, params, w.k_neighbors),
+            loss = epe_loss(tiny_flow([pos1], [None], [pair], params, w.k_neighbors),
                             pair.gt_flow)
             if sweep:
                 ad.backward(loss)
@@ -243,7 +295,7 @@ class TestTapeKeepsWhatVjpsRead:
             w = init_weights(3, seed=0)
             given = [pair.pc1.positions] + w.arrays()
             leaves = [g.leaf(v) for v in given]
-            flow = tiny_flow(leaves[0], None, pair, leaves[1:], w.k_neighbors)
+            flow = tiny_flow(leaves[:1], [None], [pair], leaves[1:], w.k_neighbors)
         loss = epe_loss(flow, pair.gt_flow)
         leaf_ids = {t.node_id for t in leaves}
         others = [node.value for i, node in enumerate(g._nodes) if i not in leaf_ids]
@@ -299,7 +351,7 @@ def _recipes():
         return ad.tmean(ops.log(ops.add(ops.row_sum(ops.mul(c, c)), ad.constant(0.1))))
 
     def r4(x, y):
-        gathered = ops.gather_rows(x, [0, 2, 1, 2])
+        gathered = ad.gather_rows(x, [0, 2, 1, 2])
         return ad.tmean(ops.relu(ops.sub(ad.matmul(gathered, y), ad.constant(0.2))))
 
     def r5(x, col, row):

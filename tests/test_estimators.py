@@ -512,7 +512,7 @@ class TestTinyNet:
             # no memo: tiny_flow encodes pc2 itself on every pass
             def flow_tensor(self, pos1, col1, pair):
                 w = [constant(a) for a in self.weights.arrays()]
-                return tiny_flow(pos1, col1, pair, w, self.weights.k_neighbors)
+                return tiny_flow([pos1], [col1], [pair], w, self.weights.k_neighbors)
 
         ref = Fresh(w)
         ref_clean = clean_pass(pair, ref)
@@ -571,7 +571,7 @@ class TestTinyNet:
                                        noise_sigma=0.03), with_color=False, seed=4)
         g = Graph()
         pos1 = g.leaf(pair.pc1.positions)
-        pred = tiny_flow(pos1, None, pair, [constant(a) for a in w.arrays()], 8)
+        pred = tiny_flow([pos1], [None], [pair], [constant(a) for a in w.arrays()], 8)
         grads = ad.backward(epe_loss(pred, pair.gt_flow))
         assert np.abs(grads[pos1.node_id]).max() > 0.0
 
@@ -593,6 +593,28 @@ class TestDense:
                                              for t in leaves if t.graph is not None])
         assert out[0] == out[1]
         assert len(out[0]) == (4 if track_x else 3)
+
+    @pytest.mark.parametrize("bounds", [[0, 4, 8], [0, 3, 8], [0, 1, 6, 8]],
+                             ids=["even", "ragged", "three"])
+    @pytest.mark.parametrize("track_x", [True, False], ids=["tracked-x", "constant-x"])
+    def test_segments_match_unrolled(self, bounds, track_x):
+        # one node over row-stacked segments against one unrolled graph per
+        # segment: the value and the weight gradients keep every bit
+        rng = np.random.default_rng(len(bounds) + 5 * track_x)
+        x, w, b = rng.normal(size=(8, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))
+        out_w = constant(rng.normal(size=(8, 4)))
+        out = []
+        for fn in (dense, ops.unrolled_dense):
+            g = Graph()
+            leaves = [g.leaf(x) if track_x else constant(x), g.leaf(w), g.leaf(b)]
+            y = fn(*leaves, True, bounds)
+            grads = ad.backward(ad.tmean(ops.mul(y, out_w)))
+            out.append([y.data] + [grads[t.node_id] for t in leaves if t.graph is not None])
+        (y, *grads), (ref_y, *ref_grads) = out
+        assert y.tobytes() == ref_y.tobytes()
+        assert [a.tobytes() for a in grads[-2:]] == [a.tobytes() for a in ref_grads[-2:]]
+        if track_x:  # the unrolled graph's scatter adds 0.0, which turns -0.0 into 0.0
+            assert np.array_equal(grads[0], ref_grads[0])
 
     def test_constant_x_skips_gradient(self):
         rng = np.random.default_rng(4)
@@ -698,7 +720,7 @@ class TestKnnAttention:
             pos1 = g.leaf(pair.pc1.positions)
             col1 = g.leaf(pair.pc1.colors) if with_color else None
             params = [g.leaf(a) for a in w.arrays()]
-            pred = tiny_flow(pos1, col1, pair, params, w.k_neighbors)
+            pred = tiny_flow([pos1], [col1], [pair], params, w.k_neighbors)
             grads = ad.backward(epe_loss(pred, pair.gt_flow))
             leaves = [t for t in (pos1, col1) if t is not None] + params
             return pred.data, [grads[t.node_id] for t in leaves]
@@ -722,6 +744,35 @@ class TestKnnAttention:
         # gradients agree to rounding, which the 32-bit weight file absorbs
         assert save_weights(weights) == save_weights(ref_weights)
         assert np.abs(np.subtract(trace, ref_trace)).max() <= 1e-12 * max(ref_trace)
+
+    def test_segments_match_one_node_each(self):
+        # three segments, each attending over its own block of e2 rows, one
+        # of them with fewer rows than k (its rows padded with -1): one node
+        # gives each segment's value and gradients bit for bit
+        rng = np.random.default_rng(9)
+        sizes = [(12, 9), (7, 5), (10, 14)]
+        parts = [_attention_leaves(n, m, seed=n + m) for n, m in sizes]
+        idx = [knn_indices(q, p, 8) for _, _, q, p in parts]
+        g_out = [rng.normal(size=(n, HIDDEN)) for n, _ in sizes]
+        ref = []
+        for (e1, e2, _, _), i, g_p in zip(parts, idx, g_out):
+            g = Graph()
+            att = knn_attention(g.leaf(e1), g.leaf(e2), i)
+            ref.append((att.data, *g._nodes[att.node_id].vjp(g_p)))
+        e2_rows = np.cumsum([0] + [m for _, m in sizes])
+        stacked = np.full((sum(n for n, _ in sizes), 8), -1)
+        stacked[:12] = idx[0]
+        stacked[12:19, :5] = idx[1] + e2_rows[1]
+        stacked[19:] = idx[2] + e2_rows[2]
+        g = Graph()
+        att = knn_attention(g.leaf(np.concatenate([p[0] for p in parts])),
+                            g.leaf(np.concatenate([p[1] for p in parts])),
+                            stacked, [0, 12, 19, 29])
+        g1, g2 = g._nodes[att.node_id].vjp(np.concatenate(g_out))
+        got = [(att.data[s:e], g1[s:e], g2[a:b]) for s, e, a, b in
+               zip([0, 12, 19], [12, 19, 29], e2_rows[:-1], e2_rows[1:])]
+        for parts_got, parts_ref in zip(got, ref):
+            assert [a.tobytes() for a in parts_got] == [a.tobytes() for a in parts_ref]
 
     def test_attack_pass_tape(self):
         # leaf, four dense, knn-attention and concat, then the loss's sub,
@@ -861,6 +912,63 @@ class TestTraining:
         stripped = ScenePair(pair.pc1, pair.pc2, None, pair.id)
         with pytest.raises(ValidationError):
             train_tiny([stripped], epochs=1, lr=0.1, seed=0)
+
+    @staticmethod
+    def _case(name):
+        ds = DatasetSpec(n_points=16, angle_range=(0.0, 0.2), translation_scale=0.15,
+                         noise_sigma=0.02)
+        if name == "plain":
+            return make_dataset(8, ds, seed=20)
+        if name == "color":
+            return make_dataset(8, replace(ds, with_color=True), seed=21)
+        if name == "ragged":
+            # first and second clouds of every size here, some second clouds
+            # smaller than k = 8
+            return (make_dataset(3, replace(ds, n_points=20, drop_fraction=0.3), seed=22)
+                    + make_dataset(3, replace(ds, n_points=12, drop_fraction=0.5), seed=23)
+                    + make_dataset(2, replace(ds, n_points=9), seed=24))
+        if name == "partial-batch":  # 4 + 2 pairs
+            return make_dataset(6, replace(ds, with_color=True, drop_fraction=0.2), seed=25)
+        return make_dataset(1, ds, seed=26)
+
+    @pytest.mark.parametrize("case", ["plain", "color", "ragged", "partial-batch", "one-pair"])
+    def test_matches_per_pair_trainer(self, case):
+        # one tape per minibatch gives the float64 weights and the trace of
+        # one sub-graph per pair, bit for bit
+        data = self._case(case)
+        weights, trace = train_tiny(data, epochs=3, lr=0.1, seed=4)
+        ref_arrays, ref_trace = ops.train_tiny_per_pair(data, epochs=3, lr=0.1, seed=4)
+        assert [a.tobytes() for a in weights.arrays()] == [a.tobytes() for a in ref_arrays]
+        assert trace == ref_trace
+
+    @pytest.mark.parametrize("n_pairs", [4, 1])
+    def test_one_node_per_layer_per_step(self, monkeypatch, n_pairs):
+        # four dense nodes and one attention node for the whole minibatch
+        tapes = []
+        backward = ad.backward
+        monkeypatch.setattr(ad, "backward", lambda root: tapes.append(
+            [node.tag for node in root.graph._nodes]) or backward(root))
+        train_tiny(self._dataset(n_pairs), epochs=1, lr=0.1, seed=0)
+        (tags,) = tapes
+        assert tags.count("dense") == 4
+        assert tags.count("knn-attention") == 1
+
+    def test_step_memory_bounded(self):
+        # one step of 4 pairs of 256 points: the traced peak above the start,
+        # in (k, R, H) float64 arrays, R = 1024 first-cloud rows.  It reads
+        # 2.20; the per-pair tape read 1.87, and the attention over the whole
+        # batch at once, not pair by pair, 3.66.
+        ds = DatasetSpec(n_points=256, angle_range=(0.0, 0.2))
+        data = make_dataset(4, ds, seed=3)
+        unit = 8 * (4 * 256) * HIDDEN * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_tiny(data, epochs=1, lr=0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * unit
 
     @pytest.mark.parametrize("with_color", [False, True], ids=["plain", "color"])
     def test_neighbours_once_per_run(self, monkeypatch, with_color):
