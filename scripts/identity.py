@@ -10,7 +10,10 @@ library and writes what it produces under DIR:
 - `reports/`: JSON and CSV reports of `eval` at `--jobs` 1 and 2, for the
   directional grid of acceptance criterion 6 (64 rigid pairs of 256 points,
   OT) and for coloured rigid and deform pairs (OT and the tiny net) with
-  colour-channel, single-dimension and random-start cells;
+  colour-channel, single-dimension and random-start cells; and of the
+  plain tiny net on 40 pairs whose second clouds lost a fifth of their
+  points, 2,560 first-cloud rows, more than one batch of pairs holds, so
+  that the batch boundaries are compared too;
 - `models/`: the SFTN weights `train` writes: a coloured model trained on
   12 pairs (3 full minibatches), and a plain one on 10 pairs whose second
   clouds lost a fifth of their points (so a minibatch of 2 ends each
@@ -152,11 +155,15 @@ def write_tree(out: Path) -> None:
                              "--seed", 8, "--out", "data/ragged"])
     _run("train_ragged", ["train", "--data", "data/ragged", "--epochs", 3,
                           "--out", "models/tiny_plain_ragged.sftn"])
+    _run("generate_batches", ["generate", "--scenes", 40, "--points", 64, "--drop", 0.2,
+                              "--seed", 11, "--out", "data/batches"])
 
     runs = [("directional_ot", "ot", "directional", "directional")]
     for motion in ("rigid", "deform"):
         runs.append((f"{motion}_ot", "ot", motion, "color"))
         runs.append((f"{motion}_tiny", "tiny:models/tiny_color.sftn", motion, "color"))
+    runs.append(("batches_tiny", "tiny:models/tiny_plain_ragged.sftn", "batches",
+                 "directional"))
     for name, model, dataset, grid in runs:
         for jobs in (1, 2):
             stem = f"reports/{name}_jobs{jobs}"

@@ -1,4 +1,4 @@
-"""White-box L-infinity attacks on the first point cloud of a scene pair.
+"""White-box L-infinity attacks on the first point cloud of scene pairs.
 
 PGD-SF iterates signed-gradient steps and projects back onto the eps box
 around the clean cloud after every step.  FGSM-SF is PGD's single step,
@@ -6,6 +6,12 @@ of size eps from the clean cloud.  A random-perturbation baseline
 completes the set.  Perturbations can target either position axes or
 color channels, restricted to any subset via a target mask; the
 ground-truth flow is never adjusted.
+
+Every attack takes a batch of pairs, with one seed per pair, and returns
+one result per pair; a single pair is a batch of one.  Each step scores
+the whole batch with one Estimator.losses_and_grads call, so the tiny net
+records one tape per step.  The pairs never mix: each pair's result has
+the bits of an attack on that pair alone.
 """
 
 from __future__ import annotations
@@ -14,9 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Graph
-from .estimators import Estimator, epe_loss
+from .estimators import Estimator
 from .scene import PointCloud, ScenePair, ValidationError
 
 AUTO = "auto"
@@ -116,43 +120,26 @@ class AttackResult:
     delta: np.ndarray
 
 
-def _loss_and_grads(pair: ScenePair, est: Estimator, pos1_val, col1_val):
-    """(EPE, position gradient, colour gradient) at (pos1_val, col1_val).
-
-    One forward and one backward pass with positions and colours (when
-    present) as leaves; the colour gradient is None without colours.  The
-    EPE is against the fixed ground truth and bitwise what
-    epe(est.estimate(...), gt_flow) gives for the same cloud.
-    """
-    if pair.gt_flow is None:
-        raise ValidationError("attack requires a pair with gt_flow")
-    g = Graph()
-    pos1 = g.leaf(pos1_val)
-    col1 = g.leaf(col1_val) if col1_val is not None else None
-    loss = epe_loss(est.flow_tensor(pos1, col1, pair), pair.gt_flow)
-    grads = ad.backward(loss)
-    return (float(loss.data), grads[pos1.node_id],
-            grads[col1.node_id] if col1 is not None else None)
+def _passes(pairs: list[ScenePair], est: Estimator, clouds: list[PointCloud]):
+    """est.losses_and_grads of each pair at its cloud; see clean_pass."""
+    for pair in pairs:
+        if pair.gt_flow is None:
+            raise ValidationError("attack requires a pair with gt_flow")
+    return est.losses_and_grads(list(zip(pairs, clouds)))
 
 
-def clean_pass(pair: ScenePair, est: Estimator):
-    """(EPE, position gradient, colour gradient) at the unperturbed first
-    cloud, from one forward and one backward pass (see _loss_and_grads).
+def clean_pass(pairs: list[ScenePair], est: Estimator) -> list[tuple]:
+    """(EPE, position gradient, colour gradient) of each pair at its
+    unperturbed first cloud, from one forward and one backward pass
+    (Estimator.losses_and_grads; the colour gradient is None without
+    colours).  The EPE is against the fixed ground truth and bitwise what
+    est.epes gives for the same cloud.
 
     FGSM under every mask, and PGD's first step without a random start,
     differentiate this same point, so a caller that runs several of them on
-    one pair can run it once and hand it to each (fgsm_sf/pgd_sf `clean`).
+    the pairs can run it once and hand it to each (fgsm_sf/pgd_sf `clean`).
     """
-    pc1 = pair.pc1
-    return _loss_and_grads(pair, est, pc1.positions,
-                          pc1.colors if pc1.has_colors else None)
-
-
-def _masked(cfg: AttackConfig, grads) -> np.ndarray:
-    """The masked domain's gradient of a _loss_and_grads result, zeroed off
-    the masked axes."""
-    _, gpos, gcol = grads
-    return (gpos if cfg.mask.domain == "positions" else gcol) * cfg.mask.axis_row()
+    return _passes(pairs, est, [pair.pc1 for pair in pairs])
 
 
 def _domain_values(pair: ScenePair, cfg: AttackConfig):
@@ -162,13 +149,15 @@ def _domain_values(pair: ScenePair, cfg: AttackConfig):
     return pos, col, base
 
 
+def _cloud(pair: ScenePair, cfg: AttackConfig, x: np.ndarray) -> PointCloud:
+    """pair's first cloud with the masked domain's values replaced by x."""
+    pos, col, _ = _domain_values(pair, cfg)
+    return PointCloud(x, col) if cfg.mask.domain == "positions" else PointCloud(pos, x)
+
+
 def _result(pair: ScenePair, cfg: AttackConfig, adv_domain: np.ndarray) -> AttackResult:
-    pos, col, base = _domain_values(pair, cfg)
-    if cfg.mask.domain == "positions":
-        adv_pc1 = PointCloud(adv_domain, col)
-    else:
-        adv_pc1 = PointCloud(pos, adv_domain)
-    return AttackResult(adv_pc1=adv_pc1, delta=adv_domain - base)
+    base = _domain_values(pair, cfg)[2]
+    return AttackResult(adv_pc1=_cloud(pair, cfg, adv_domain), delta=adv_domain - base)
 
 
 def fgsm_config(cfg: AttackConfig) -> AttackConfig:
@@ -177,77 +166,95 @@ def fgsm_config(cfg: AttackConfig) -> AttackConfig:
     return replace(cfg, iters=1, alpha=cfg.eps, random_start=False)
 
 
-def fgsm_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
-            clean=None) -> AttackResult:
+def fgsm_sf(pairs: list[ScenePair], est: Estimator, cfg: AttackConfig,
+            clean=None) -> list[AttackResult]:
     """One-step signed-gradient attack: delta = eps * sign(grad), sign(0)=0.
 
     This is pgd_sf's single step under fgsm_config(cfg).
     """
-    return pgd_sf(pair, est, fgsm_config(cfg), clean=clean)
+    return pgd_sf(pairs, est, fgsm_config(cfg), clean=clean)
 
 
-def pgd_sf(pair: ScenePair, est: Estimator, cfg: AttackConfig,
-           seed: int = 0, clean=None) -> AttackResult:
+def pgd_sf(pairs: list[ScenePair], est: Estimator, cfg: AttackConfig,
+           seeds=None, clean=None) -> list[AttackResult]:
     """Iterated signed-gradient ascent projected onto the eps box around pc1.
 
     At iters=1, alpha=eps and no random start this is FGSM; fgsm_sf calls
     it with those settings.  The gradient (and any hard neighbor selection
-    inside the estimator) is recomputed from the current iterate at every
-    step, one forward and one backward pass each.  Without a random start,
-    step 0 differentiates the clean cloud; `clean`, the clean_pass result
-    for this pair and estimator, replaces that pass when given.  Only the
-    perturbed cloud is returned; callers score it with
-    epe(est.estimate(...), gt_flow).
+    inside the estimator) is recomputed from the current iterates at every
+    step, one forward and one backward pass over the batch each.  seeds[p]
+    (default 0) seeds pair p's random start.  Without a random start, step
+    0 differentiates the clean clouds; `clean`, the clean_pass result for
+    these pairs and this estimator, replaces that pass when given.  Only
+    the perturbed clouds are returned; callers score them with est.epes.
     """
-    cfg.mask.check(pair)
-    pos, col, base = _domain_values(pair, cfg)
+    for pair in pairs:
+        cfg.mask.check(pair)
+    seeds = [0] * len(pairs) if seeds is None else seeds
     alpha = cfg.resolved_alpha()
     is_color = cfg.mask.domain == "colors"
     clamp = is_color and cfg.clamp_colors
+    axes = cfg.mask.axis_row()
+    # The pairs' values stacked by rows: every step is elementwise, so the
+    # rows of pair p take the values of an attack on pair p alone.
+    spans = _spans([pair.pc1.n_points for pair in pairs])
+    base = np.concatenate([_domain_values(pair, cfg)[2] for pair in pairs])
 
     # Positions track delta (projection is exact in delta space); colors
     # track the iterate itself so the [0,1] clamp composes with the box.
     x = base.copy()
     if cfg.random_start:
-        rng = np.random.default_rng(seed)
-        x = x + rng.uniform(-cfg.eps, cfg.eps, size=x.shape) * cfg.mask.axis_row()
+        noise = np.concatenate([np.random.default_rng(seed).uniform(-cfg.eps, cfg.eps, (e - s, 3))
+                                for seed, (s, e) in zip(seeds, spans)])
+        x = x + noise * axes
         if clamp:
             x = np.clip(x, 0.0, 1.0)
 
     for step in range(cfg.iters):
         if step == 0 and clean is not None and not cfg.random_start:
-            grad = _masked(cfg, clean)
-        elif is_color:
-            grad = _masked(cfg, _loss_and_grads(pair, est, pos, x))
+            grads = clean
         else:
-            grad = _masked(cfg, _loss_and_grads(pair, est, x, col))
-        # grad is already zero off the masked axes, so those entries never move
+            grads = _passes(pairs, est, [_cloud(pair, cfg, x[s:e])
+                                         for pair, (s, e) in zip(pairs, spans)])
+        # zero off the masked axes, so those entries never move
+        grad = np.concatenate([g[2] if is_color else g[1] for g in grads]) * axes
         if is_color:
             x = np.clip(x + alpha * np.sign(grad), base - cfg.eps, base + cfg.eps)
             if clamp:
                 x = np.clip(x, 0.0, 1.0)
         else:
             x = base + np.clip((x - base) + alpha * np.sign(grad), -cfg.eps, cfg.eps)
-    return _result(pair, cfg, x)
+    return [_result(pair, cfg, x[s:e]) for pair, (s, e) in zip(pairs, spans)]
 
 
-def random_attack(pair: ScenePair, cfg: AttackConfig, seed: int) -> AttackResult:
-    """Seeded random perturbation inside the eps box (uniform or +-eps).
+def _spans(sizes: list[int]) -> list[tuple[int, int]]:
+    """The row ranges of blocks of the given sizes stacked in order."""
+    ends = np.cumsum(sizes).tolist()
+    return list(zip([0] + ends[:-1], ends))
 
-    Runs no estimator: the pair needs no gt_flow, and callers score the
-    perturbed cloud themselves.
+
+def random_attack(pairs: list[ScenePair], cfg: AttackConfig, seeds) -> list[AttackResult]:
+    """Seeded random perturbation inside the eps box (uniform or +-eps),
+    pair p drawn from seeds[p].
+
+    Runs no estimator: the pairs need no gt_flow, and callers score the
+    perturbed clouds themselves.
     """
-    cfg.mask.check(pair)
-    _, _, base = _domain_values(pair, cfg)
-    rng = np.random.default_rng(seed)
-    if cfg.random_mode == "rademacher":
-        noise = cfg.eps * rng.choice([-1.0, 1.0], size=base.shape)
-    else:
-        noise = rng.uniform(-cfg.eps, cfg.eps, size=base.shape)
-    adv = base + noise * cfg.mask.axis_row()
-    if cfg.mask.domain == "colors" and cfg.clamp_colors:
-        adv = np.clip(adv, 0.0, 1.0)
-    return _result(pair, cfg, adv)
+    for pair in pairs:
+        cfg.mask.check(pair)
+    out = []
+    for pair, seed in zip(pairs, seeds):
+        base = _domain_values(pair, cfg)[2]
+        rng = np.random.default_rng(seed)
+        if cfg.random_mode == "rademacher":
+            noise = cfg.eps * rng.choice([-1.0, 1.0], size=base.shape)
+        else:
+            noise = rng.uniform(-cfg.eps, cfg.eps, size=base.shape)
+        adv = base + noise * cfg.mask.axis_row()
+        if cfg.mask.domain == "colors" and cfg.clamp_colors:
+            adv = np.clip(adv, 0.0, 1.0)
+        out.append(_result(pair, cfg, adv))
+    return out
 
 
 def check_feasibility(pair: ScenePair, cfg: AttackConfig, result: AttackResult,

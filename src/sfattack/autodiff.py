@@ -9,11 +9,12 @@ concat, stack-rows, gather-rows, rowwise L2 norm, and pairwise squared
 distances; and scalar-mul, which the fixed acceptance tests use.  Five
 fused nodes with hand-written VJPs go through _emit like any primitive;
 they live in sfattack.estimators next to their callers: median-scale,
-sinkhorn, dense (one tiny-net layer), knn-attention and pair-means (a
-training minibatch's loss).  add and sub take operands of equal shape,
-concat joins two matrices column-wise, stack-rows joins matrices row-wise,
-and gather-rows picks rows by index (a tiny-net minibatch's first clouds
-out of its stacked encodings).
+sinkhorn, dense (one tiny-net layer), knn-attention and pair-means (the
+loss of a training minibatch or of a batch of attack passes).  add and sub
+take operands of equal shape, concat joins two matrices column-wise,
+stack-rows joins matrices row-wise (a batch's first clouds), and
+gather-rows picks rows by index (a tiny-net minibatch's first clouds out
+of its stacked encodings).
 
 The tape keeps only what a VJP reads.  A leaf node keeps its value, from
 which backward() shapes a zero gradient; every other node stores one
@@ -199,10 +200,13 @@ def concat(a, b) -> Tensor:
 
 
 def stack_rows(parts) -> Tensor:
-    """Join matrices with the same number of columns row-wise, in order."""
+    """Join matrices with the same number of columns row-wise, in order; a
+    single matrix is returned as it is, with no node."""
     parts = [_coerce(p) for p in parts]
     if not parts or any(p.data.ndim != 2 or p.shape[1] != parts[0].shape[1] for p in parts):
         raise ShapeError(f"stack-rows needs (N_i,K) matrices, got {[p.shape for p in parts]}")
+    if len(parts) == 1:
+        return parts[0]
     bounds = np.cumsum([0] + [p.shape[0] for p in parts])
     return _emit("stack-rows", parts, np.concatenate([p.data for p in parts], axis=0),
                  lambda g: [g[s:e] for s, e in zip(bounds[:-1], bounds[1:])])

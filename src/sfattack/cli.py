@@ -10,8 +10,8 @@ from pathlib import Path
 from .attacks import AUTO, AttackConfig, make_target_mask
 from .estimators import (OTEstimator, TinyNetEstimator, load_weights, save_weights,
                          train_tiny)
-from .harness import (GridEntry, attack_pair, gradcheck_battery, load_grid,
-                      pair_baseline, render_flow_svg, run_experiment, write_report,
+from .harness import (GridEntry, attack_pairs, gradcheck_battery, load_grid,
+                      pair_baselines, render_flow_svg, run_experiment, write_report,
                       _rel)
 from .scene import FlowField, FormatError, ValidationError, load_sfp, save_sfp
 from .synth import DatasetSpec, load_dataset, make_dataset, write_dataset
@@ -121,8 +121,9 @@ def _cmd_attack(args) -> int:
                        mask=make_target_mask(args.target),
                        random_start=args.random_start)
     entry = GridEntry(args.attack, cfg)
-    before, clean = pair_baseline(pair, est, [entry])
-    adv_pair, after = attack_pair(pair, est, entry, args.seed, clean)
+    [(before, clean)] = pair_baselines([pair], est, [entry])
+    [(adv_pair, after)] = attack_pairs([pair], est, entry, [args.seed],
+                                       None if clean is None else [clean])
     Path(args.out).write_bytes(save_sfp(adv_pair))
     ran = entry.ran_config()
     summary = {

@@ -5,11 +5,13 @@ Two estimators share one interface: an entropic optimal-transport matcher
 and a tiny trainable flow-embedding network (per-point encoder plus
 softmax attention over k nearest second-cloud points).  Both expose the
 flow as a graph tensor so attacks can backpropagate to the first cloud.
-The tiny net's forward takes a batch of pairs with their points stacked by
-rows: training records one tape per minibatch, and an attack pass is the
-one-pair case.  Its nodes work per cloud or per pair where the bits
-depend on it, so a minibatch's gradients are those of one sub-graph per
-pair, bit for bit.
+Both also score a batch of (pair, first cloud) items at once: per-pair
+EPEs, with or without the input gradients.  The OT estimator records one
+tape per pair.  The tiny net's forward takes a batch of pairs with their
+points stacked by rows, so training records one tape per minibatch and an
+attack step one tape per batch of pairs.  Its nodes work per cloud or per
+pair where the bits depend on it, so a batch's values and gradients are
+those of one sub-graph per pair, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, constant
-from .scene import (FlowField, FormatError, LengthError, ScenePair, ValidationError,
-                    _freeze)
+from .scene import (FlowField, FormatError, LengthError, PointCloud, ScenePair,
+                    ValidationError, _freeze)
 
 
 class NumericError(ArithmeticError):
@@ -221,7 +223,15 @@ def _check_marginal(v: np.ndarray, which: str) -> None:
 # -- estimators -----------------------------------------------------------
 
 class Estimator:
-    """Interface: estimate() for plain flow, flow_tensor() for gradients."""
+    """Interface: estimate() for plain flow, flow_tensor() for gradients, and
+    per-pair EPEs of a batch of (pair, first cloud) items, with the input
+    gradients (losses_and_grads) or without (epes).
+
+    The batched methods score each cloud against its pair's ground truth,
+    in place of the pair's own first cloud.  Here they record one tape per
+    pair; an estimator may batch them, as long as every pair's results
+    keep the bits of its own tape.
+    """
 
     tag = "estimator"
 
@@ -229,9 +239,33 @@ class Estimator:
         raise NotImplementedError
 
     def estimate(self, pair: ScenePair) -> FlowField:
-        pos1 = constant(pair.pc1.positions)
-        col1 = constant(pair.pc1.colors) if pair.pc1.has_colors else None
-        return FlowField(self.flow_tensor(pos1, col1, pair).data)
+        return FlowField(self._flow(pair, pair.pc1).data)
+
+    def _flow(self, pair: ScenePair, cloud: PointCloud) -> Tensor:
+        col1 = constant(cloud.colors) if cloud.has_colors else None
+        return self.flow_tensor(constant(cloud.positions), col1, pair)
+
+    def losses_and_grads(self, items: list[tuple[ScenePair, PointCloud]]) -> list[tuple]:
+        """(EPE, position gradient, colour gradient) of each (pair, cloud).
+
+        One forward and one backward pass per pair, with the cloud's
+        positions and colours (when present) as leaves; the colour gradient
+        is None without colours.  The EPE is bitwise epes()'s.
+        """
+        out = []
+        for pair, cloud in items:
+            g = Graph()
+            pos1 = g.leaf(cloud.positions)
+            col1 = g.leaf(cloud.colors) if cloud.has_colors else None
+            loss = epe_loss(self.flow_tensor(pos1, col1, pair), pair.gt_flow)
+            grads = ad.backward(loss)
+            out.append((float(loss.data), grads[pos1.node_id],
+                        grads[col1.node_id] if col1 is not None else None))
+        return out
+
+    def epes(self, items: list[tuple[ScenePair, PointCloud]]) -> list[float]:
+        """The forward-only EPE of each (pair, cloud)."""
+        return [epe(self._flow(pair, cloud), pair.gt_flow) for pair, cloud in items]
 
     def config_digest(self) -> str:
         return hashlib.sha256(repr(self._digest_key()).encode()).hexdigest()[:12]
@@ -389,35 +423,102 @@ def _stable_smallest(d: np.ndarray, k: int) -> np.ndarray:
 
 class TinyNetEstimator(Estimator):
     """Tiny flow-embedding network: encode both clouds, attend over the k
-    nearest second-cloud points, decode a flow vector per first-cloud point."""
+    nearest second-cloud points, decode a flow vector per first-cloud point.
+
+    The batched methods run a batch of pairs as one forward (and one tape,
+    with gradients) over their row-stacked points; see tiny_flow.
+    """
 
     tag = "tiny"
 
     def __init__(self, weights: TinyNetWeights):
         self.weights = weights
-        # (pc2, w1, b1, w2, b2, encoding): the last second cloud encoded.  Key
-        # and value are one tuple, so a thread reads a matching pair or none,
-        # and holding pc2 keeps its id from being reused.
+        # (pc2 of each pair, w1, b1, w2, b2, encoding): the last batch of
+        # second clouds encoded.  Key and value are one tuple, so a thread
+        # reads a matching pair or none, and holding each pc2 keeps its id
+        # from being reused.
         self._e2_memo = None
 
     def flow_tensor(self, pos1, col1, pair):
-        w = [constant(a) for a in self.weights.arrays()]
-        return tiny_flow([pos1], [col1], [pair], w, self.weights.k_neighbors,
-                         e2=self._encoded_pc2(pair, w))
+        return self._flows([pos1], [col1], [pair])
 
-    def _encoded_pc2(self, pair, w) -> Tensor:
-        """encode(second cloud) under the encoder weights; a pair's passes
-        all share pc2 and the weights, so it is computed once per pair."""
-        key = (pair.pc2, *(t.data for t in w[:4]))
+    def losses_and_grads(self, items):
+        pairs = [pair for pair, _ in items]
+        g = Graph()
+        pos1 = [g.leaf(cloud.positions) for _, cloud in items]
+        col1 = [g.leaf(cloud.colors) if cloud.has_colors else None for _, cloud in items]
+        bounds = _offsets(pos1)
+        norms = _epe_norms(self._flows(pos1, col1, pairs), pairs, bounds)
+        grads = ad.backward(pair_means(norms, bounds))
+        return [(loss, grads[p.node_id], grads[c.node_id] if c is not None else None)
+                for loss, p, c in zip(_means(norms, bounds), pos1, col1)]
+
+    def epes(self, items):
+        pairs = [pair for pair, _ in items]
+        pos1 = [constant(cloud.positions) for _, cloud in items]
+        col1 = [constant(cloud.colors) if cloud.has_colors else None for _, cloud in items]
+        bounds = _offsets(pos1)
+        return _means(_epe_norms(self._flows(pos1, col1, pairs), pairs, bounds), bounds)
+
+    def _flows(self, pos1, col1, pairs) -> Tensor:
+        w = [constant(a) for a in self.weights.arrays()]
+        return tiny_flow(pos1, col1, pairs, w, self.weights.k_neighbors,
+                         e2=self._encoded_pc2(pairs, w))
+
+    def _encoded_pc2(self, pairs, w) -> Tensor:
+        """encode(second clouds) of a batch under the encoder weights, rows
+        stacked in pair order.  A batch's passes all share its second clouds
+        and the weights, so they are encoded once per batch."""
+        key = (*(pair.pc2 for pair in pairs), *(t.data for t in w[:4]))
         memo = self._e2_memo
-        if memo is None or any(a is not b for a, b in zip(memo, key)):
-            memo = (*key, encode(second_features(pair, self.weights.in_dim == 6), w))
+        if (memo is None or len(memo) != len(key) + 1
+                or any(a is not b for a, b in zip(memo, key))):
+            feats = [second_features(p, self.weights.in_dim == 6) for p in pairs]
+            memo = (*key, encode(ad.stack_rows(feats), w, _offsets(feats)))
             self._e2_memo = memo
         return memo[-1]
 
     def _digest_key(self):
         blob = save_weights(self.weights)
         return (self.tag, hashlib.sha256(blob).hexdigest()[:12])
+
+
+def _epe_norms(flow: Tensor, pairs, bounds: list[int]) -> Tensor:
+    """The per-point EPE terms of a batch of flows whose pair p is rows
+    bounds[p]:bounds[p+1]: epe_loss's arithmetic before its mean."""
+    gt = [_vectors(pair.gt_flow) for pair in pairs]
+    for s, e, v in zip(bounds[:-1], bounds[1:], gt):
+        if (e - s, 3) != v.shape:
+            raise ad.ShapeError(f"flow shapes differ: {(e - s, 3)} vs {v.shape}")
+    return ad.rownorm(ad.sub(flow, constant(np.concatenate(gt))))
+
+
+def _means(norms: Tensor, bounds: list[int]) -> list[float]:
+    """Each pair's mean of `norms`: its EPE, bitwise epe_loss's value."""
+    return [float(norms.data[s:e].mean()) for s, e in zip(bounds[:-1], bounds[1:])]
+
+
+def pair_means(norms: Tensor, bounds: list[int], scale: float = 1.0) -> Tensor:
+    """scale times the sum over pairs of each pair's mean of `norms`, whose
+    pair p is rows bounds[p]:bounds[p+1], as one tape node.
+
+    The arithmetic of the per-pair graph it replaces: one mean per pair,
+    the means added in pair order, the sum scaled.  Row r of pair p gets
+    the gradient (g * scale) / N_p, which is tmean's g / N_p at scale 1: a
+    batch of attack passes takes the plain sum, a training minibatch the
+    mean (scale 1/B).
+    """
+    means = _means(norms, bounds)
+    total = means[0]
+    for m in means[1:]:
+        total += m
+
+    def vjp(g):
+        gs = float(g * scale)
+        return (np.concatenate([np.full(e - s, gs / (e - s))
+                                for s, e in zip(bounds[:-1], bounds[1:])]),)
+
+    return ad._emit("pair-means", (norms,), np.asarray(total * scale), vjp)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool,
@@ -649,16 +750,15 @@ def tiny_flow(pos1: list[Tensor], col1: list[Optional[Tensor]],
     pair's second-cloud rows through neighbour indices offset by that
     pair's row start.  dense works per cloud (encoder) or per pair (head),
     so every value and gradient has the bits of a tape with one sub-graph
-    per pair.  For a one-pair call, `e2` passes in
-    encode(second_features(pair, ...), w) when the caller already has it;
-    the encoder then runs over the first cloud alone.
+    per pair.  `e2` passes in the second clouds' encodings, rows stacked in
+    pair order (encode over the stacked second_features, one segment per
+    cloud), when the caller already has them: the encoder then runs over
+    the stacked first clouds alone, one segment per pair.
     """
     w3, b3, w4, b4 = w[4:]
     use_color = w[0].shape[0] == 6
     if use_color and any(c is None for c in col1):  # second_features checks pc2
         raise ValidationError("weights expect colors but the pair has none")
-    if e2 is not None and len(pairs) != 1:
-        raise ValidationError("e2 is the second-cloud encoding of a one-pair call")
 
     f1 = [ad.concat(p, c) if use_color else p for p, c in zip(pos1, col1)]
     if idx is None:
@@ -672,42 +772,21 @@ def tiny_flow(pos1: list[Tensor], col1: list[Optional[Tensor]],
         source = encode(ad.stack_rows(clouds), w, rows)   # (sum N + M, 32)
         e1 = ad.gather_rows(source, np.concatenate(
             [np.arange(s, e) for s, e in zip(rows[0:-1:2], rows[1::2])]))
-        # each pair's neighbours, offset by its pc2's first row; -1 pads the
-        # rows of a pair whose second cloud has fewer than k points
-        neighbours = np.full((heads[-1], max(i.shape[1] for i in idx)), -1)
-        for s, e, i, start in zip(heads[:-1], heads[1:], idx, rows[1::2]):
-            neighbours[s:e, :i.shape[1]] = i + start
+        starts = rows[1::2]
     else:
-        source, e1, neighbours = e2, encode(f1[0], w), idx[0]
+        source, e1 = e2, encode(ad.stack_rows(f1), w, heads)
+        starts = _offsets([pair.pc2.positions for pair in pairs])
+    # each pair's neighbours, offset by its pc2's first row; -1 pads the
+    # rows of a pair whose second cloud has fewer than k points
+    neighbours = np.full((heads[-1], max(i.shape[1] for i in idx)), -1)
+    for s, e, i, start in zip(heads[:-1], heads[1:], idx, starts):
+        neighbours[s:e, :i.shape[1]] = i + start
     attended = knn_attention(e1, source, neighbours, heads)  # (sum N, 32)
     h = ad.concat(e1, attended)                           # (sum N, 64)
     return dense(dense(h, w3, b3, True, heads), w4, b4, False, heads)
 
 
 # -- training -------------------------------------------------------------
-
-def _mean_of_pair_means(norms: Tensor, bounds: list[int]) -> Tensor:
-    """The mean over pairs of each pair's mean of `norms`, whose pair p is
-    rows bounds[p]:bounds[p+1], as one tape node.
-
-    The arithmetic of the per-pair graph it replaces: one mean per pair,
-    the means added in pair order, the sum scaled by 1/B.  Row r of pair p
-    gets the gradient (g / B) / N_p.
-    """
-    v = norms.data
-    scale = 1.0 / (len(bounds) - 1)
-    total = None
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        m = v[s:e].mean()
-        total = m if total is None else total + m
-
-    def vjp(g):
-        gs = float(g * scale)
-        return (np.concatenate([np.full(e - s, gs / (e - s))
-                                for s, e in zip(bounds[:-1], bounds[1:])]),)
-
-    return ad._emit("pair-means", (norms,), np.asarray(total * scale), vjp)
-
 
 def train_tiny(dataset: list[ScenePair], epochs: int,
                lr: float, seed: int) -> tuple[TinyNetWeights, list[float]]:
@@ -755,9 +834,8 @@ def train_tiny(dataset: list[ScenePair], epochs: int,
             col1 = [constant(p.pc1.colors) if with_color else None for p in pairs]
             pred = tiny_flow(pos1, col1, pairs, w, weights.k_neighbors,
                              idx=[neighbours[i] for i in batch])
-            gt = np.concatenate([p.gt_flow.vectors for p in pairs])
-            loss = _mean_of_pair_means(ad.rownorm(ad.sub(pred, constant(gt))),
-                                       _offsets(pos1))
+            bounds = _offsets(pos1)
+            loss = pair_means(_epe_norms(pred, pairs, bounds), bounds, 1.0 / len(pairs))
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")

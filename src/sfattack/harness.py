@@ -1,5 +1,11 @@
 """Experiment orchestration: attack grids over datasets, AEPE and relative
 degradation aggregation, deterministic JSON/CSV reports, and SVG plots.
+
+run_experiment cuts a dataset, in order, into batches of at most
+BATCH_ROWS first-cloud rows and runs one task per batch and grid entry:
+each attack step scores the batch's pairs together (one tape per step for
+the tiny net, one per pair for OT).  A task that fails is rerun pair by
+pair, so every record is the one its pair would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -8,6 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -17,12 +24,15 @@ from . import __version__
 from . import autodiff as ad
 from .attacks import (AUTO, AttackConfig, clean_pass, fgsm_config, fgsm_sf,
                       make_target_mask, pgd_sf, random_attack)
-from .estimators import (Estimator, OTEstimator, TinyNetEstimator, epe, epe_loss,
-                         init_weights)
+from .estimators import Estimator, OTEstimator, TinyNetEstimator, epe_loss, init_weights
 from .scene import FlowField, ScenePair, ValidationError
 from .synth import MotionSpec, make_pair
 
 ATTACK_KINDS = ("none", "fgsm", "pgd", "random")
+# First-cloud rows per batch of pairs: the largest power of two at which a
+# batched tiny-net attack pass peaks (tracemalloc) no higher than a 4-pair
+# training step on clouds of the same size, so eval raises no high-water mark.
+BATCH_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -159,69 +169,127 @@ def _rel(before: float, after: float) -> Optional[float]:
     return (after - before) / before
 
 
-def pair_baseline(pair: ScenePair, est: Estimator, grid: list[GridEntry]):
-    """(baseline EPE, clean_pass or None) of `pair` for the entries of `grid`.
-    Entries that step from the clean cloud share one clean pass; without one,
-    or for a non-finite cloud (no graph leaf), the EPE is forward-only."""
-    if pair.gt_flow is None:
-        raise ValidationError("attack requires a pair with gt_flow")
-    if any(entry.steps_from_clean(pair) for entry in grid):
+def pair_baselines(pairs: list[ScenePair], est: Estimator, grid: list[GridEntry]):
+    """(baseline EPE, clean_pass result or None) of each pair for the entries
+    of `grid`.  When an entry steps from the clean cloud of some pair, the
+    pairs share one batched clean pass, and its losses are the baselines;
+    otherwise, or for a non-finite cloud (no graph leaf), the EPE is
+    forward-only.  A pair's results do not depend on the other pairs."""
+    for pair in pairs:
+        if pair.gt_flow is None:
+            raise ValidationError("attack requires a pair with gt_flow")
+    if any(entry.steps_from_clean(pair) for pair in pairs for entry in grid):
         try:
-            clean = clean_pass(pair, est)
-            return clean[0], clean
+            return [(clean[0], clean) for clean in clean_pass(pairs, est)]
         except ad.DomainError:
-            pass
-    return epe(est.estimate(pair), pair.gt_flow), None
+            if len(pairs) > 1:  # find the pairs that fail, each on its own
+                return [b for pair in pairs for b in pair_baselines([pair], est, grid)]
+    return [(after, None) for after in est.epes([(pair, pair.pc1) for pair in pairs])]
 
 
-def attack_pair(pair: ScenePair, est: Estimator, entry: GridEntry, seed: int,
-                clean=None) -> tuple[ScenePair, float]:
-    """(attacked pair, its EPE) of one grid entry's attack on `pair`.  `clean`
-    is pair_baseline's clean pass, or None to let FGSM or PGD run their own."""
+def attack_pairs(pairs: list[ScenePair], est: Estimator, entry: GridEntry,
+                 seeds: list[int], clean=None) -> list[tuple[ScenePair, float]]:
+    """(attacked pair, its EPE) of one grid entry's attack on each pair, pair p
+    seeded by seeds[p].  `clean` is the pairs' clean_pass, or None to let
+    FGSM or PGD run their own."""
     cfg = entry.config
     if entry.attack == "fgsm":
-        result = fgsm_sf(pair, est, cfg, clean=clean)
+        results = fgsm_sf(pairs, est, cfg, clean=clean)
     elif entry.attack == "pgd":
-        result = pgd_sf(pair, est, cfg, seed=seed, clean=clean)
+        results = pgd_sf(pairs, est, cfg, seeds=seeds, clean=clean)
     else:
-        result = random_attack(pair, cfg, seed=seed)
-    adv_pair = replace(pair, pc1=result.adv_pc1)
-    return adv_pair, epe(est.estimate(adv_pair), pair.gt_flow)
+        results = random_attack(pairs, cfg, seeds=seeds)
+    adv = [replace(pair, pc1=res.adv_pc1) for pair, res in zip(pairs, results)]
+    return list(zip(adv, est.epes([(a, a.pc1) for a in adv])))
 
 
-def _run_cell(pair: ScenePair, est: Estimator, label: str, entry: GridEntry,
-              base_epe: float, seed: int, timing: bool,
-              clean=None) -> ExperimentRecord:
-    """One grid cell of one pair.  `clean` is the pair's clean_pass, or None
-    to let an FGSM or PGD cell run it itself."""
-    rec_seed = _record_seed(seed, pair.id, entry.digest())
-    start = time.perf_counter()
-    error = None
-    after = base_epe
+def batches(dataset: list[ScenePair]) -> list[list[ScenePair]]:
+    """The dataset in order, cut into batches of at most BATCH_ROWS
+    first-cloud rows; a pair with more rows is a batch of its own."""
+    out, rows = [], 0
+    for pair in dataset:
+        n = pair.pc1.n_points
+        if not out or rows + n > BATCH_ROWS:
+            out.append([])
+            rows = 0
+        out[-1].append(pair)
+        rows += n
+    return out
+
+
+def _baselines(batch: list[ScenePair], est: Estimator, grid: list[GridEntry]) -> list:
+    """pair_baselines of a batch; where that fails numerically, each pair's
+    own.  A pair whose own fails gets the exception instead, and each of its
+    records carries it."""
     try:
-        if entry.attack != "none":
-            _, after = attack_pair(pair, est, entry, rec_seed, clean)
+        return pair_baselines(batch, est, grid)
+    except (ArithmeticError, ad.DomainError) as exc:
+        if len(batch) == 1:
+            return [exc]
+    return [b for pair in batch for b in _baselines([pair], est, grid)]
+
+
+def _run_cell(batch: list[ScenePair], est: Estimator, label: str, entry: GridEntry,
+              base: list, seed: int, timing: bool) -> list[ExperimentRecord]:
+    """The records of one grid entry over a batch of pairs: one task.
+
+    base[p] is batch[p]'s pair_baselines result, or the exception its
+    baseline raised, which each of the pair's records then carries.  When
+    the task raises, it is rerun pair by pair, so that only the pairs that
+    fail get an error record and every other record keeps its bits.  With
+    `timing`, a record's `ms` is the task's wall time divided by its pair
+    count.
+    """
+    start = time.perf_counter()
+    seeds = [_record_seed(seed, pair.id, entry.digest()) for pair in batch]
+    try:
+        afters, errors = _afters(batch, est, entry, base, seeds), [None] * len(batch)
     except Exception as exc:  # diagnostic record, the run continues
-        error = f"{type(exc).__name__}: {exc}"
-        after = float("nan")
-    ms = int((time.perf_counter() - start) * 1000) if timing else 0
-    rel = 0.0 if entry.attack == "none" else (
-        None if error else _rel(base_epe, after))
+        if len(batch) > 1:
+            return [rec for p, pair in enumerate(batch)
+                    for rec in _run_cell([pair], est, label, entry, [base[p]], seed, timing)]
+        afters, errors = [float("nan")], [f"{type(exc).__name__}: {exc}"]
+    ms = int((time.perf_counter() - start) * 1000 / len(batch)) if timing else 0
     cfg = entry.ran_config()  # rec_seed hashes the cell as written
-    return ExperimentRecord(
-        pair_id=pair.id, estimator=label,
-        attack=entry.attack, mask=entry.mask_spec(),
-        eps=cfg.eps if cfg else 0.0, iters=cfg.iters if cfg else 0,
-        alpha=cfg.resolved_alpha() if cfg else 0.0, seed=rec_seed,
-        epe_before=base_epe, epe_after=after, rel=rel,
-        wall_time_ms=ms, error=error,
-    )
+    records = []
+    for pair, b, rec_seed, after, error in zip(batch, base, seeds, afters, errors):
+        before = float("nan") if isinstance(b, Exception) else b[0]
+        rel = None if error else 0.0 if entry.attack == "none" else _rel(before, after)
+        records.append(ExperimentRecord(
+            pair_id=pair.id, estimator=label,
+            attack=entry.attack, mask=entry.mask_spec(),
+            eps=cfg.eps if cfg else 0.0, iters=cfg.iters if cfg else 0,
+            alpha=cfg.resolved_alpha() if cfg else 0.0, seed=rec_seed,
+            epe_before=before, epe_after=after, rel=rel,
+            wall_time_ms=ms, error=error,
+        ))
+    return records
+
+
+def _afters(batch, est, entry, base, seeds) -> list[float]:
+    """The attacked EPE of each pair of a task; raises what a pair's
+    baseline raised."""
+    for b in base:
+        if isinstance(b, Exception):
+            raise b
+    if entry.attack == "none":
+        return [before for before, _ in base]
+    cleans = [clean for _, clean in base]
+    if any(clean is None for clean in cleans):
+        cleans = None
+    return [after for _, after in attack_pairs(batch, est, entry, seeds, cleans)]
 
 
 def run_experiment(dataset: list[ScenePair], est: Estimator,
                    grid: list[GridEntry], seed: int,
                    jobs: int = 1, timing: bool = False) -> Report:
-    """Every pair x grid cell; aggregates are order-independent."""
+    """Every pair x grid cell; aggregates are order-independent.
+
+    The pairs run in batches (see batches), one task per batch and grid
+    entry.  Each batch's baselines, with the clean pass its tasks share,
+    are computed before any of its tasks starts, so records do not depend
+    on `jobs`; the tasks of one batch then run on `jobs` threads.
+    """
     if not grid:
         raise ValidationError("grid must be nonempty")
     if jobs < 1:
@@ -230,22 +298,17 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
         if pair.gt_flow is None:
             raise ValidationError(f"pair {pair.id} lacks gt_flow")
 
-    # Each pair's baseline, and the clean pass its cells share, computed here,
-    # before any thread starts, so records do not depend on `jobs`.
-    base = {pair.id: pair_baseline(pair, est, grid) for pair in dataset}
-    cells = [(pair, entry) for pair in dataset for entry in grid]
     label = f"{est.tag}:{est.config_digest()}"  # hashes the tiny net's weights
+    records = []
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for batch in batches(dataset):
+            base = _baselines(batch, est, grid)
 
-    def run(cell):
-        pair, entry = cell
-        before, clean = base[pair.id]
-        return _run_cell(pair, est, label, entry, before, seed, timing, clean)
+            def run(entry, batch=batch, base=base):
+                return _run_cell(batch, est, label, entry, base, seed, timing)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run, cells))
-    else:
-        records = [run(c) for c in cells]
+            for part in (pool.map(run, grid) if pool else map(run, grid)):
+                records += part
 
     records.sort(key=lambda r: (r.pair_id, r.attack, r.mask, r.seed))
     return Report(records=records, aggregates=aggregate(records),

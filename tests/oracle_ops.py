@@ -9,14 +9,22 @@ the engine's add and sub: a scalar, (1,1), (1,M), (M,) or (N,1) operand
 meets an (N,M) one, and its gradient is summed back to its shape.
 train_tiny_per_pair is the trainer that records one sub-graph per pair:
 the reference for the bits of estimators.train_tiny, which stacks a
-minibatch's pairs by rows.
+minibatch's pairs by rows.  loss_and_grads, pgd_per_pair and
+run_experiment_per_pair attack and score one pair at a time, with one tape
+per pair through Estimator.flow_tensor: the reference for the bits of the
+batched attacks and of harness.run_experiment, which score a batch of
+pairs per step.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from sfattack import autodiff as ad
-from sfattack import estimators
+from sfattack import estimators, harness
+from sfattack.attacks import AttackResult, fgsm_config, random_attack
 from sfattack.autodiff import DomainError, ShapeError, Tensor, constant
+from sfattack.scene import PointCloud
 
 
 def _broadcast_ok(sa, sb):
@@ -183,3 +191,102 @@ def train_tiny_per_pair(dataset, epochs, lr, seed):
             losses.append(float(loss.data))
         trace.append(float(np.mean(losses)))
     return arrays, trace
+
+
+def loss_and_grads(est, pair, cloud):
+    """(EPE, position gradient, colour gradient) of one pair at `cloud`, on
+    its own tape through est.flow_tensor."""
+    g = ad.Graph()
+    pos1 = g.leaf(cloud.positions)
+    col1 = g.leaf(cloud.colors) if cloud.has_colors else None
+    loss = estimators.epe_loss(est.flow_tensor(pos1, col1, pair), pair.gt_flow)
+    grads = ad.backward(loss)
+    return (float(loss.data), grads[pos1.node_id],
+            grads[col1.node_id] if col1 is not None else None)
+
+
+def epe_per_pair(est, pair, cloud):
+    """The forward-only EPE of one pair at `cloud`, through est.estimate."""
+    return estimators.epe(est.estimate(replace(pair, pc1=cloud)), pair.gt_flow)
+
+
+def pgd_per_pair(pair, est, cfg, seed=0, clean=None):
+    """attacks.pgd_sf on one pair, one loss_and_grads per step."""
+    cfg.mask.check(pair)
+    pos = pair.pc1.positions
+    col = pair.pc1.colors if pair.pc1.has_colors else None
+    is_color = cfg.mask.domain == "colors"
+    base = col if is_color else pos
+    alpha = cfg.resolved_alpha()
+    clamp = is_color and cfg.clamp_colors
+    x = base.copy()
+    if cfg.random_start:
+        rng = np.random.default_rng(seed)
+        x = x + rng.uniform(-cfg.eps, cfg.eps, size=x.shape) * cfg.mask.axis_row()
+        if clamp:
+            x = np.clip(x, 0.0, 1.0)
+    for step in range(cfg.iters):
+        if step == 0 and clean is not None and not cfg.random_start:
+            grads = clean
+        else:
+            grads = loss_and_grads(est, pair, PointCloud(pos, x) if is_color
+                                   else PointCloud(x, col))
+        grad = (grads[2] if is_color else grads[1]) * cfg.mask.axis_row()
+        if is_color:
+            x = np.clip(x + alpha * np.sign(grad), base - cfg.eps, base + cfg.eps)
+            if clamp:
+                x = np.clip(x, 0.0, 1.0)
+        else:
+            x = base + np.clip((x - base) + alpha * np.sign(grad), -cfg.eps, cfg.eps)
+    adv = PointCloud(pos, x) if is_color else PointCloud(x, col)
+    return AttackResult(adv_pc1=adv, delta=x - base)
+
+
+def run_experiment_per_pair(dataset, est, grid, seed):
+    """harness.run_experiment's records, each pair and cell on its own: the
+    pair's clean pass (or forward-only EPE) as its baseline, then one
+    attack and one scoring pass per cell.  A baseline that fails with a
+    numerical error leaves every record of the pair carrying it."""
+    label = f"{est.tag}:{est.config_digest()}"
+    records = []
+    for pair in dataset:
+        clean = before = base_error = None
+        try:
+            if any(entry.steps_from_clean(pair) for entry in grid):
+                try:
+                    clean = loss_and_grads(est, pair, pair.pc1)
+                    before = clean[0]
+                except DomainError:
+                    pass
+            if clean is None:
+                before = epe_per_pair(est, pair, pair.pc1)
+        except (ArithmeticError, DomainError) as exc:
+            before, base_error = float("nan"), f"{type(exc).__name__}: {exc}"
+        for entry in grid:
+            rec_seed = harness._record_seed(seed, pair.id, entry.digest())
+            error, after = base_error, before
+            if error is None and entry.attack != "none":
+                try:
+                    if entry.attack == "random":
+                        [res] = random_attack([pair], entry.config, [rec_seed])
+                    else:
+                        cfg = (fgsm_config(entry.config) if entry.attack == "fgsm"
+                               else entry.config)
+                        res = pgd_per_pair(pair, est, cfg, rec_seed, clean)
+                    after = epe_per_pair(est, pair, res.adv_pc1)
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+            if error is not None:
+                after = float("nan")
+            cfg = entry.ran_config()
+            records.append(harness.ExperimentRecord(
+                pair_id=pair.id, estimator=label, attack=entry.attack,
+                mask=entry.mask_spec(), eps=cfg.eps if cfg else 0.0,
+                iters=cfg.iters if cfg else 0,
+                alpha=cfg.resolved_alpha() if cfg else 0.0, seed=rec_seed,
+                epe_before=before, epe_after=after,
+                rel=None if error else 0.0 if entry.attack == "none"
+                else harness._rel(before, after),
+                wall_time_ms=0, error=error))
+    records.sort(key=lambda r: (r.pair_id, r.attack, r.mask, r.seed))
+    return records

@@ -112,11 +112,11 @@ def test_02_attack_feasibility_invariants():
         attack = ("fgsm", "pgd", "random")[i % 3]
         gt_bytes = pair.gt_flow.vectors.tobytes()
         if attack == "fgsm":
-            res = fgsm_sf(pair, est, cfg)
+            res = fgsm_sf([pair], est, cfg)[0]
         elif attack == "pgd":
-            res = pgd_sf(pair, est, cfg, seed=i)
+            res = pgd_sf([pair], est, cfg, seeds=[i])[0]
         else:
-            res = random_attack(pair, cfg, seed=i)
+            res = random_attack([pair], cfg, seeds=[i])[0]
         violations += len(check_feasibility(pair, cfg, res))
         assert pair.gt_flow.vectors.tobytes() == gt_bytes
     assert violations == 0
@@ -131,11 +131,11 @@ def test_03_analytic_fgsm_fixture():
                      FlowField(np.zeros((1, 3))), "fixture")
     est = NegatedCloudEstimator()
 
-    res = fgsm_sf(pair, est, AttackConfig(eps=0.5))
+    res = fgsm_sf([pair], est, AttackConfig(eps=0.5))[0]
     assert np.abs(res.adv_pc1.positions - [[1.5, 2.5, -1.5]]).max() < 1e-12
 
-    res0 = fgsm_sf(pair, est, AttackConfig(eps=0.5,
-                                           mask=TargetMask("positions", frozenset({0}))))
+    res0 = fgsm_sf([pair], est, AttackConfig(eps=0.5,
+                                             mask=TargetMask("positions", frozenset({0}))))[0]
     assert np.abs(res0.adv_pc1.positions - [[1.5, 2.0, -1.0]]).max() < 1e-12
     ok("criterion 3: analytic FGSM fixture to 1e-12")
 
@@ -168,7 +168,7 @@ def test_04_pgd_reduces_to_fgsm():
         mask = TargetMask("colors") if seed % 4 == 0 else TargetMask("positions")
         cfg = AttackConfig(eps=0.06, iters=1, alpha=0.06, mask=mask)
         base, adv = fgsm_oracle(pair, est, cfg)
-        for res in (fgsm_sf(pair, est, cfg), pgd_sf(pair, est, cfg)):
+        for res in (fgsm_sf([pair], est, cfg)[0], pgd_sf([pair], est, cfg)[0]):
             got = (res.adv_pc1.positions if mask.domain == "positions"
                    else res.adv_pc1.colors)
             assert got.tobytes() == adv.tobytes()

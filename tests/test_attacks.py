@@ -96,7 +96,7 @@ class TestTargetMask:
         pair = simple_pair(color=False)
         cfg = AttackConfig(eps=0.1, mask=TargetMask("colors"))
         with pytest.raises(ValidationError):
-            fgsm_sf(pair, ZeroFlowEstimator(), cfg)
+            fgsm_sf([pair], ZeroFlowEstimator(), cfg)[0]
 
 
 class TestAttackConfig:
@@ -129,7 +129,7 @@ class TestFgsm:
         pair = simple_pair()
         stripped = ScenePair(pair.pc1, pair.pc2, None, "x")
         with pytest.raises(ValidationError, match="gt_flow"):
-            fgsm_sf(stripped, ZeroFlowEstimator(), AttackConfig(eps=0.1))
+            fgsm_sf([stripped], ZeroFlowEstimator(), AttackConfig(eps=0.1))[0]
 
     def test_analytic_direction(self):
         # est(-pos1) vs gt=0: loss = mean ||pos1||, grad = pos1/(N*||pos1||);
@@ -138,7 +138,7 @@ class TestFgsm:
         pos = rng.uniform(0.2, 1.0, size=(5, 3)) * rng.choice([-1, 1], size=(5, 3))
         pair = ScenePair(PointCloud(pos), PointCloud(pos),
                          FlowField(np.zeros((5, 3))), "a")
-        res = fgsm_sf(pair, NegativeFlowEstimator(), AttackConfig(eps=0.05))
+        res = fgsm_sf([pair], NegativeFlowEstimator(), AttackConfig(eps=0.05))[0]
         assert np.array_equal(res.adv_pc1.positions, pos + 0.05 * np.sign(pos))
 
     def test_sign_zero_is_zero(self):
@@ -146,14 +146,14 @@ class TestFgsm:
         pair = ScenePair(PointCloud(pos), PointCloud(pos),
                          FlowField(np.zeros((1, 3))), "z")
         # zero estimator: loss independent of pos1, grad = 0, delta = 0
-        res = fgsm_sf(pair, ZeroFlowEstimator(), AttackConfig(eps=0.05))
+        res = fgsm_sf([pair], ZeroFlowEstimator(), AttackConfig(eps=0.05))[0]
         assert np.array_equal(res.delta, np.zeros((1, 3)))
         assert res.adv_pc1.positions.tobytes() == pos.tobytes()
 
     def test_mask_restricts_axes(self):
         pair = simple_pair(seed=2)
         cfg = AttackConfig(eps=0.05, mask=TargetMask("positions", frozenset({1})))
-        res = fgsm_sf(pair, NegativeFlowEstimator(), cfg)
+        res = fgsm_sf([pair], NegativeFlowEstimator(), cfg)[0]
         assert np.all(res.delta[:, [0, 2]] == 0.0)
         assert np.abs(res.delta[:, 1]).max() > 0.0
 
@@ -161,19 +161,19 @@ class TestFgsm:
         pair = make_pair(32, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
                          with_color=False, seed=3)
         est = OTEstimator()
-        res = fgsm_sf(pair, est, AttackConfig(eps=0.1))
+        res = fgsm_sf([pair], est, AttackConfig(eps=0.1))[0]
         assert score(est, pair, res.adv_pc1) > score(est, pair)
 
     def test_gt_flow_untouched(self):
         pair = simple_pair(seed=4)
         before = pair.gt_flow.vectors.tobytes()
-        fgsm_sf(pair, NegativeFlowEstimator(), AttackConfig(eps=0.1))
+        fgsm_sf([pair], NegativeFlowEstimator(), AttackConfig(eps=0.1))[0]
         assert pair.gt_flow.vectors.tobytes() == before
 
     def test_color_attack_clamps(self):
         pair = simple_pair(seed=5)
         cfg = AttackConfig(eps=0.5, mask=TargetMask("colors"))
-        res = fgsm_sf(pair, OTEstimator(reg=0.1), cfg)
+        res = fgsm_sf([pair], OTEstimator(reg=0.1), cfg)[0]
         assert res.adv_pc1.colors.min() >= 0.0
         assert res.adv_pc1.colors.max() <= 1.0
         assert np.array_equal(res.adv_pc1.positions, pair.pc1.positions)
@@ -187,21 +187,21 @@ class TestPgd:
         for mask in (TargetMask("positions"), TargetMask("colors", frozenset({0, 1}))):
             cfg = AttackConfig(eps=0.08, iters=1, alpha=0.08, mask=mask)
             base, adv = fgsm_oracle(pair, est, cfg)
-            for res in (fgsm_sf(pair, est, cfg), pgd_sf(pair, est, cfg)):
+            for res in (fgsm_sf([pair], est, cfg)[0], pgd_sf([pair], est, cfg)[0]):
                 assert res.delta.tobytes() == (adv - base).tobytes()
 
     def test_at_least_fgsm_on_ot(self):
         pair = make_pair(32, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
                          with_color=False, seed=7)
         est = OTEstimator()
-        f = fgsm_sf(pair, est, AttackConfig(eps=0.1))
-        p = pgd_sf(pair, est, AttackConfig(eps=0.1, iters=5))
+        f = fgsm_sf([pair], est, AttackConfig(eps=0.1))[0]
+        p = pgd_sf([pair], est, AttackConfig(eps=0.1, iters=5))[0]
         assert score(est, pair, p.adv_pc1) >= score(est, pair, f.adv_pc1) - 1e-9
 
     def test_feasible_with_random_start(self):
         pair = simple_pair(seed=8)
         cfg = AttackConfig(eps=0.07, iters=4, random_start=True)
-        res = pgd_sf(pair, NegativeFlowEstimator(), cfg, seed=3)
+        res = pgd_sf([pair], NegativeFlowEstimator(), cfg, seeds=[3])[0]
         assert check_feasibility(pair, cfg, res) == []
 
     def test_random_start_seeded(self):
@@ -209,16 +209,16 @@ class TestPgd:
         # small alpha so the iterates keep the random start visible instead
         # of saturating every coordinate at the box corners
         cfg = AttackConfig(eps=0.05, iters=3, alpha=0.001, random_start=True)
-        a = pgd_sf(pair, NegativeFlowEstimator(), cfg, seed=11)
-        b = pgd_sf(pair, NegativeFlowEstimator(), cfg, seed=11)
-        c = pgd_sf(pair, NegativeFlowEstimator(), cfg, seed=12)
+        a = pgd_sf([pair], NegativeFlowEstimator(), cfg, seeds=[11])[0]
+        b = pgd_sf([pair], NegativeFlowEstimator(), cfg, seeds=[11])[0]
+        c = pgd_sf([pair], NegativeFlowEstimator(), cfg, seeds=[12])[0]
         assert a.delta.tobytes() == b.delta.tobytes()
         assert a.delta.tobytes() != c.delta.tobytes()
 
     def test_color_iterates_stay_clamped(self):
         pair = simple_pair(seed=10)
         cfg = AttackConfig(eps=0.6, iters=5, mask=TargetMask("colors"))
-        res = pgd_sf(pair, OTEstimator(reg=0.1), cfg)
+        res = pgd_sf([pair], OTEstimator(reg=0.1), cfg)[0]
         assert check_feasibility(pair, cfg, res) == []
 
 
@@ -233,7 +233,7 @@ class TestCleanPass:
         pair = make_pair(20, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.05)),
                          with_color=color, seed=17)
         for est in _estimators(6 if color else 3):
-            loss, gpos, gcol = clean_pass(pair, est)
+            loss, gpos, gcol = clean_pass([pair], est)[0]
             assert loss == epe(est.estimate(pair), pair.gt_flow)  # bitwise
             assert gpos.shape == (20, 3)
             assert (gcol is not None) == color
@@ -248,16 +248,17 @@ class TestCleanPass:
         if color:
             specs += ["all-channels", "channel=2"]
         for est in _estimators(6 if color else 3):
-            clean = clean_pass(pair, est)
+            clean = clean_pass([pair], est)[0]
             for spec in specs:
                 mask = make_target_mask(spec)
                 for cfg in (AttackConfig(eps=0.1, mask=mask),
                             AttackConfig(eps=0.1, iters=3, mask=mask),
                             AttackConfig(eps=0.1, iters=2, mask=mask,
                                          random_start=True)):
-                    runs = [(fgsm_sf(pair, est, cfg), fgsm_sf(pair, est, cfg, clean=clean)),
-                            (pgd_sf(pair, est, cfg, seed=3),
-                             pgd_sf(pair, est, cfg, seed=3, clean=clean))]
+                    runs = [(fgsm_sf([pair], est, cfg)[0],
+                             fgsm_sf([pair], est, cfg, clean=[clean])[0]),
+                            (pgd_sf([pair], est, cfg, seeds=[3])[0],
+                             pgd_sf([pair], est, cfg, seeds=[3], clean=[clean])[0])]
                     for plain_run, shared in runs:
                         assert shared.delta.tobytes() == plain_run.delta.tobytes()
                         assert (shared.adv_pc1.positions.tobytes()
@@ -267,37 +268,37 @@ class TestCleanPass:
         # the estimator's own gradient is zero; the handed-in one is all +1
         pair = simple_pair(seed=19)
         ones = np.ones((pair.pc1.n_points, 3))
-        res = fgsm_sf(pair, ZeroFlowEstimator(), AttackConfig(eps=0.1),
-                      clean=(0.0, ones, ones))
+        res = fgsm_sf([pair], ZeroFlowEstimator(), AttackConfig(eps=0.1),
+                      clean=[(0.0, ones, ones)])[0]
         assert np.allclose(res.delta, 0.1, rtol=0, atol=1e-15)
 
     def test_requires_gt(self):
         pair = simple_pair()
         with pytest.raises(ValidationError, match="gt_flow"):
-            clean_pass(ScenePair(pair.pc1, pair.pc2, None, "x"), ZeroFlowEstimator())
+            clean_pass([ScenePair(pair.pc1, pair.pc2, None, "x")], ZeroFlowEstimator())[0]
 
 
 class TestRandomAttack:
     def test_deterministic(self):
         pair = simple_pair(seed=11)
         cfg = AttackConfig(eps=0.1)
-        a = random_attack(pair, cfg, seed=5)
-        b = random_attack(pair, cfg, seed=5)
-        c = random_attack(pair, cfg, seed=6)
+        a = random_attack([pair], cfg, seeds=[5])[0]
+        b = random_attack([pair], cfg, seeds=[5])[0]
+        c = random_attack([pair], cfg, seeds=[6])[0]
         assert a.delta.tobytes() == b.delta.tobytes()
         assert a.delta.tobytes() != c.delta.tobytes()
 
     def test_uniform_inside_box(self):
         pair = simple_pair(seed=12)
         cfg = AttackConfig(eps=0.1)
-        res = random_attack(pair, cfg, seed=0)
+        res = random_attack([pair], cfg, seeds=[0])[0]
         assert check_feasibility(pair, cfg, res) == []
         assert np.abs(res.delta).max() < 0.1
 
     def test_rademacher_hits_corners(self):
         pair = simple_pair(seed=13)
         cfg = AttackConfig(eps=0.1, random_mode="rademacher")
-        res = random_attack(pair, cfg, seed=0)
+        res = random_attack([pair], cfg, seeds=[0])[0]
         assert np.allclose(np.abs(res.delta), 0.1, rtol=0, atol=1e-15)
 
 
@@ -309,14 +310,14 @@ class TestFeasibility:
         mask = make_target_mask(mask_spec)
         cfg = AttackConfig(eps=0.05, iters=3, mask=mask)
         est = OTEstimator(reg=0.1)
-        for res in (fgsm_sf(pair, est, AttackConfig(eps=0.05, mask=mask)),
-                    pgd_sf(pair, est, cfg),
-                    random_attack(pair, cfg, seed=0)):
+        for res in (fgsm_sf([pair], est, AttackConfig(eps=0.05, mask=mask))[0],
+                    pgd_sf([pair], est, cfg)[0],
+                    random_attack([pair], cfg, seeds=[0])[0]):
             assert check_feasibility(pair, cfg, res) == []
 
     def test_detects_violation(self):
         pair = simple_pair(seed=16)
         cfg = AttackConfig(eps=0.05)
-        res = fgsm_sf(pair, NegativeFlowEstimator(), cfg)
+        res = fgsm_sf([pair], NegativeFlowEstimator(), cfg)[0]
         bad = type(res)(adv_pc1=res.adv_pc1, delta=res.delta * 3.0)
         assert "delta exceeds eps" in check_feasibility(pair, cfg, bad)

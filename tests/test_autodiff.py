@@ -158,6 +158,8 @@ class TestRowPrimitives:
         assert stacked.graph is None and stacked.data.tolist() == [[0, 0, 0], [1, 1, 1], [1, 1, 1]]
         ad.stack_rows([x, ad.constant(np.zeros((1, 3)))])
         assert [node.tag for node in g._nodes] == ["leaf", "stack-rows"]
+        # a single part is returned as it is, with no node
+        assert ad.stack_rows([x]) is x and len(g) == 2
 
     @pytest.mark.parametrize("call", [
         lambda: ad.gather_rows(np.zeros(3), [0]),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sfattack import autodiff as ad
-from sfattack import estimators
+from sfattack import estimators, harness
 from sfattack.attacks import AttackConfig, clean_pass, pgd_sf
 from sfattack.autodiff import Graph, constant
 from sfattack.scene import (
@@ -368,8 +368,8 @@ class TestMedianScale:
         pos[nan_rows, 1] = np.nan
         bad = ScenePair(PointCloud(pos), pair.pc2,
                         FlowField(pair.gt_flow.vectors[:n1]), "nan")
-        rec = _run_cell(bad, OTEstimator(), "ot:test",
-                        GridEntry("random", AttackConfig(eps=0.1)), 0.5, 0, False)
+        [rec] = _run_cell([bad], OTEstimator(), "ot:test",
+                          GridEntry("random", AttackConfig(eps=0.1)), [(0.5, None)], 0, False)
         assert rec.error == "DomainError: cost must be finite"
         assert np.isnan(rec.epe_after)
 
@@ -515,14 +515,14 @@ class TestTinyNet:
                 return tiny_flow([pos1], [col1], [pair], w, self.weights.k_neighbors)
 
         ref = Fresh(w)
-        ref_clean = clean_pass(pair, ref)
-        ref_adv = pgd_sf(pair, ref, cfg, seed=5, clean=ref_clean).adv_pc1
+        ref_clean = ops.loss_and_grads(ref, pair, pair.pc1)
+        ref_adv = ops.pgd_per_pair(pair, ref, cfg, seed=5, clean=ref_clean).adv_pc1
         ref_flow = ref.estimate(replace(pair, pc1=ref_adv)).vectors
         encodes.clear()
 
         est = TinyNetEstimator(w)
-        clean = clean_pass(pair, est)
-        adv = pgd_sf(pair, est, cfg, seed=5, clean=clean).adv_pc1
+        [clean] = clean_pass([pair], est)
+        adv = pgd_sf([pair], est, cfg, seeds=[5], clean=[clean])[0].adv_pc1
         flow = est.estimate(replace(pair, pc1=adv)).vectors
         assert len(encodes) == 1
         assert clean[0] == ref_clean[0]
@@ -530,6 +530,19 @@ class TestTinyNet:
             [g.tobytes() for g in ref_clean[1:] if g is not None]
         assert adv.positions.tobytes() == ref_adv.positions.tobytes()
         assert flow.tobytes() == ref_flow.tobytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_encodes_each_second_cloud_once(self, encodes, jobs):
+        # 16 pairs over two batches: each batch's baselines and tasks share
+        # its second clouds' encoding, whatever the thread count
+        data = make_dataset(16, DatasetSpec(n_points=40, angle_range=(0.0, 0.2)), seed=4)
+        assert len(harness.batches(data)) == 2
+        grid = [GridEntry("none"), GridEntry("fgsm", AttackConfig(eps=0.1)),
+                GridEntry("pgd", AttackConfig(eps=0.1, iters=3)),
+                GridEntry("random", AttackConfig(eps=0.1))]
+        harness.run_experiment(data, TinyNetEstimator(init_weights(3, seed=1)), grid,
+                               seed=0, jobs=jobs)
+        assert sorted(pair.id for pair, _ in encodes) == sorted(p.id for p in data)
 
     def test_new_pair_or_weights_reencode(self, encodes):
         a, b = (make_pair(10, MotionSpec(angle=0.1), False, seed=s) for s in (1, 2))
@@ -541,6 +554,12 @@ class TestTinyNet:
         fresh = TinyNetEstimator(est.weights).estimate(a).vectors
         assert est.estimate(a).vectors.tobytes() == fresh.tobytes()
         assert len(encodes) == 5
+        # a batch whose second clouds start with a's is another key
+        encodes.clear()
+        items = [(a, a.pc1), (b, b.pc1)]
+        assert est.epes(items) == [epe(est.estimate(p), p.gt_flow) for p in (a, b)]
+        assert est.epes(items[:1]) == est.epes(items)[:1]
+        assert [p.id for p, _ in encodes] == [a.id, b.id, a.id, b.id, a.id, a.id, b.id]
 
     def test_shared_memo_under_threads(self):
         # four threads on two CPUs, switching every microsecond, each

@@ -24,6 +24,7 @@ from sfattack.harness import (
     write_report,
     _rel,
     _run_cell,
+    batches,
 )
 from sfattack.scene import FlowField, ValidationError
 from sfattack.synth import DatasetSpec, make_dataset
@@ -211,7 +212,7 @@ class TestRunExperiment:
         assert {r.error for r in report.records} == {
             "ValidationError: color mask on a pair without colors"}
         for pair in small_dataset:
-            clean_epe = clean_pass(pair, counting_est)[0]
+            clean_epe = clean_pass([pair], counting_est)[0][0]
             assert {r.epe_before for r in report.records if r.pair_id == pair.id} == {
                 clean_epe}
 
@@ -246,10 +247,10 @@ class TestRunExperiment:
         pair = small_dataset[0]
         records = []
         for clean, expect in ((None, calls),
-                              (clean_pass(pair, counting_est), calls_with_clean)):
+                              (clean_pass([pair], counting_est)[0], calls_with_clean)):
             counting_est.flow_calls = 0
-            records.append(_run_cell(pair, counting_est, "ot:test", entry, 0.1,
-                                     seed=0, timing=False, clean=clean))
+            records += _run_cell([pair], counting_est, "ot:test", entry, [(0.1, clean)],
+                                 seed=0, timing=False)
             assert records[-1].error is None
             assert records[-1].estimator == "ot:test"
             assert counting_est.flow_calls == expect
@@ -276,18 +277,47 @@ class TestRunExperiment:
 
     def test_non_finite_cloud_keeps_cell_errors(self, small_dataset):
         # the tiny net's forward takes a NaN point, but no graph leaf does:
-        # the run completes and each FGSM/PGD cell records the failure
+        # the run completes and each FGSM/PGD cell of that pair records the
+        # failure.  Its batch is rerun pair by pair, so the other pairs'
+        # records are those of a run without it.
         from sfattack.scene import PointCloud, ScenePair
         pair = small_dataset[0]
         pos = pair.pc1.positions.copy()
         pos[2, 1] = np.nan
         bad = ScenePair(PointCloud(pos), pair.pc2, pair.gt_flow, "nan")
+        good = [small_dataset[1], small_dataset[2]]
         grid = [grid_entry_from_dict(e) for e in SIX_CELL_GRID]
-        report = run_experiment([bad], TinyNetEstimator(init_weights(3, seed=5)),
-                                grid, seed=0)
-        errors = [r.error for r in report.records]
+        est = TinyNetEstimator(init_weights(3, seed=5))
+        report = run_experiment([good[0], bad, good[1]], est, grid, seed=0)
+        assert len(batches([good[0], bad, good[1]])) == 1
+        errors = [r.error for r in report.records if r.pair_id == "nan"]
         assert errors.count("DomainError: leaf values must be finite") == 5
         assert errors.count(None) == 1  # the random cell
+        alone = run_experiment(good, est, grid, seed=0)
+        assert [repr(r) for r in report.records if r.pair_id != "nan"] == \
+            [repr(r) for r in alone.records]
+
+    def test_failed_baseline_keeps_other_records(self, small_dataset):
+        # one first-cloud point far off underflows the OT pair's Sinkhorn row:
+        # its baseline fails, so each of its records carries the error, and
+        # the other pairs' records are those of a run without it
+        from dataclasses import replace
+        from sfattack.scene import PointCloud
+        pos = small_dataset[1].pc1.positions.copy()
+        pos[0] = 5.0
+        bad = replace(small_dataset[1], pc1=PointCloud(pos), id="far")
+        good = [small_dataset[0], small_dataset[2]]
+        grid = [grid_entry_from_dict(e) for e in SIX_CELL_GRID]
+        est = OTEstimator(sinkhorn_iters=8)
+        report = run_experiment([good[0], bad, good[1]], est, grid, seed=0, jobs=2)
+        far = [r for r in report.records if r.pair_id == "far"]
+        assert [r.error for r in far] == [
+            "NumericError: degenerate row marginal in sinkhorn (underflow)"] * 6
+        assert all(np.isnan(r.epe_before) and r.rel is None for r in far)
+        alone = run_experiment(good, est, grid, seed=0)
+        assert [repr(r) for r in report.records if r.pair_id != "far"] == \
+            [repr(r) for r in alone.records]
+        assert report.aggregates == alone.aggregates
 
     @pytest.mark.parametrize("color", [False, True], ids=["plain", "color"])
     @pytest.mark.parametrize("kind", ["ot", "tiny"])
@@ -314,9 +344,9 @@ class TestRunExperiment:
         label = f"{est.tag}:{est.config_digest()}"
         expect = []
         for pair in data:
-            base = epe(est.estimate(pair), pair.gt_flow)
-            expect += [_run_cell(pair, est, label, entry, base, 9, False)
-                       for entry in grid]
+            base = [(epe(est.estimate(pair), pair.gt_flow), None)]
+            for entry in grid:
+                expect += _run_cell([pair], est, label, entry, base, 9, False)
         expect.sort(key=lambda r: (r.pair_id, r.attack, r.mask, r.seed))
         report = run_experiment(data, est, grid, seed=9, jobs=2)
         # repr compares floats exactly, NaN included
