@@ -28,7 +28,10 @@ library and writes what it produces under DIR:
 - `stderr/`: what each command wrote to stderr, such as the error of an
   `attack` with a colour mask on a pair without colours;
 - `grads/`: the `tobytes()` of the loss and of every input gradient of one
-  forward+backward, for OT and the tiny net, with and without colours.
+  forward+backward, for OT and the tiny net, with and without colours;
+  and (`*_batch.bin`) the same of each pair of one batched
+  `losses_and_grads` over three pairs of different sizes, the path the
+  attacks take.
 
 `--compare PARENT` writes the same tree for this checkout's `src/` and for
 `PARENT/src/` (a checkout of the parent commit), side by side in two child
@@ -128,8 +131,15 @@ def _write_grads() -> None:
                     grads = ad.backward(loss)
                     blobs.append(loss.data.tobytes())
                     blobs += [grads[t.node_id].tobytes() for t in (pos1, col1) if t is not None]
-            name = f"{tag}_{'color' if color else 'plain'}.bin"
-            Path("grads", name).write_bytes(b"".join(blobs))
+            name = f"{tag}_{'color' if color else 'plain'}"
+            Path("grads", f"{name}.bin").write_bytes(b"".join(blobs))
+            batch = [make_pair(n, motion, color, seed=seed)
+                     for seed, n in ((3, 96), (4, 128), (5, 64))]
+            blobs = []
+            for loss, gpos, gcol in est.losses_and_grads([(p, p.pc1) for p in batch]):
+                blobs.append(np.float64(loss).tobytes())
+                blobs += [g.tobytes() for g in (gpos, gcol) if g is not None]
+            Path("grads", f"{name}_batch.bin").write_bytes(b"".join(blobs))
 
 
 def write_tree(out: Path) -> None:

@@ -9,9 +9,9 @@ ground-truth flow is never adjusted.
 
 Every attack takes a batch of pairs, with one seed per pair, and returns
 one result per pair; a single pair is a batch of one.  Each step scores
-the whole batch with one Estimator.losses_and_grads call, so the tiny net
-records one tape per step.  The pairs never mix: each pair's result has
-the bits of an attack on that pair alone.
+the whole batch with one Estimator.losses_and_grads call, one tape per
+step.  The pairs never mix: each pair's result has the bits of an attack
+on that pair alone.
 """
 
 from __future__ import annotations

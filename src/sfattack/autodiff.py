@@ -12,9 +12,9 @@ they live in sfattack.estimators next to their callers: median-scale,
 sinkhorn, dense (one tiny-net layer), knn-attention and pair-means (the
 loss of a training minibatch or of a batch of attack passes).  add and sub
 take operands of equal shape, concat joins two matrices column-wise,
-stack-rows joins matrices row-wise (a batch's first clouds), and
-gather-rows picks rows by index (a tiny-net minibatch's first clouds out
-of its stacked encodings).
+stack-rows joins matrices row-wise (a batch's first clouds, or its flows),
+and gather-rows picks rows by strictly increasing index (a tiny-net
+minibatch's first clouds out of its stacked encodings).
 
 The tape keeps only what a VJP reads.  A leaf node keeps its value, from
 which backward() shapes a zero gradient; every other node stores one
@@ -213,27 +213,22 @@ def stack_rows(parts) -> Tensor:
 
 
 def gather_rows(a, indices) -> Tensor:
-    """Rows of a matrix picked by a flat index list; a row may repeat, and
-    its gradient is then the sum of its copies' gradients."""
+    """Rows of a matrix picked by a flat, strictly increasing index list."""
     a = _coerce(a)
     if a.data.ndim != 2:
         raise ShapeError("gather-rows expects a matrix")
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather-rows indices must be a flat list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    if idx.size and (idx[0] < 0 or idx[-1] >= a.shape[0]):
         raise ShapeError("gather-rows index out of range")
+    if np.any(idx[1:] <= idx[:-1]):
+        raise ShapeError("gather-rows indices must be strictly increasing")
     shape = a.shape
-    # rows in increasing order are distinct, and take a plain scatter:
-    # np.add.at is several times slower
-    distinct = bool(np.all(idx[1:] > idx[:-1]))
 
     def vjp(g):
         out = np.zeros(shape)
-        if distinct:
-            out[idx] = g
-        else:
-            np.add.at(out, idx, g)
+        out[idx] = g
         return (out,)
 
     return _emit("gather-rows", (a,), a.data[idx], vjp)

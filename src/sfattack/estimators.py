@@ -5,13 +5,13 @@ Two estimators share one interface: an entropic optimal-transport matcher
 and a tiny trainable flow-embedding network (per-point encoder plus
 softmax attention over k nearest second-cloud points).  Both expose the
 flow as a graph tensor so attacks can backpropagate to the first cloud.
-Both also score a batch of (pair, first cloud) items at once: per-pair
-EPEs, with or without the input gradients.  The OT estimator records one
-tape per pair.  The tiny net's forward takes a batch of pairs with their
-points stacked by rows, so training records one tape per minibatch and an
-attack step one tape per batch of pairs.  Its nodes work per cloud or per
-pair where the bits depend on it, so a batch's values and gradients are
-those of one sub-graph per pair, bit for bit.
+Both also score a batch of (pair, first cloud) items at once, on one
+tape: per-pair EPEs, with or without the input gradients.  The OT
+estimator's batch is one sub-graph per pair, its flows stacked by rows.
+The tiny net's forward takes a batch of pairs with their points stacked by
+rows, so training records one tape per minibatch.  Its nodes work per
+cloud or per pair where the bits depend on it.  Either way a batch's
+values and gradients are those of one tape per pair, bit for bit.
 """
 
 from __future__ import annotations
@@ -228,9 +228,11 @@ class Estimator:
     gradients (losses_and_grads) or without (epes).
 
     The batched methods score each cloud against its pair's ground truth,
-    in place of the pair's own first cloud.  Here they record one tape per
-    pair; an estimator may batch them, as long as every pair's results
-    keep the bits of its own tape.
+    in place of the pair's own first cloud.  They run the whole batch as
+    one forward (and one tape, with gradients) over the pairs' flows
+    stacked by rows (_flows), scored by one pair-means node.  Nothing in
+    the tape mixes pairs, so every pair's results keep the bits of its own
+    tape.
     """
 
     tag = "estimator"
@@ -239,33 +241,40 @@ class Estimator:
         raise NotImplementedError
 
     def estimate(self, pair: ScenePair) -> FlowField:
-        return FlowField(self._flow(pair, pair.pc1).data)
+        col1 = constant(pair.pc1.colors) if pair.pc1.has_colors else None
+        return FlowField(self.flow_tensor(constant(pair.pc1.positions), col1, pair).data)
 
-    def _flow(self, pair: ScenePair, cloud: PointCloud) -> Tensor:
-        col1 = constant(cloud.colors) if cloud.has_colors else None
-        return self.flow_tensor(constant(cloud.positions), col1, pair)
+    def _flows(self, pos1: list[Tensor], col1: list[Optional[Tensor]],
+               pairs: list[ScenePair]) -> Tensor:
+        """The flows of a batch of pairs, rows stacked in pair order: one
+        flow_tensor per pair."""
+        return ad.stack_rows([self.flow_tensor(p, c, pair)
+                              for p, c, pair in zip(pos1, col1, pairs)])
 
     def losses_and_grads(self, items: list[tuple[ScenePair, PointCloud]]) -> list[tuple]:
         """(EPE, position gradient, colour gradient) of each (pair, cloud).
 
-        One forward and one backward pass per pair, with the cloud's
+        One forward and one backward pass over the batch, with each cloud's
         positions and colours (when present) as leaves; the colour gradient
         is None without colours.  The EPE is bitwise epes()'s.
         """
-        out = []
-        for pair, cloud in items:
-            g = Graph()
-            pos1 = g.leaf(cloud.positions)
-            col1 = g.leaf(cloud.colors) if cloud.has_colors else None
-            loss = epe_loss(self.flow_tensor(pos1, col1, pair), pair.gt_flow)
-            grads = ad.backward(loss)
-            out.append((float(loss.data), grads[pos1.node_id],
-                        grads[col1.node_id] if col1 is not None else None))
-        return out
+        pairs = [pair for pair, _ in items]
+        g = Graph()
+        pos1 = [g.leaf(cloud.positions) for _, cloud in items]
+        col1 = [g.leaf(cloud.colors) if cloud.has_colors else None for _, cloud in items]
+        bounds = _offsets(pos1)
+        norms = _epe_norms(self._flows(pos1, col1, pairs), pairs, bounds)
+        grads = ad.backward(pair_means(norms, bounds))
+        return [(loss, grads[p.node_id], grads[c.node_id] if c is not None else None)
+                for loss, p, c in zip(_means(norms, bounds), pos1, col1)]
 
     def epes(self, items: list[tuple[ScenePair, PointCloud]]) -> list[float]:
         """The forward-only EPE of each (pair, cloud)."""
-        return [epe(self._flow(pair, cloud), pair.gt_flow) for pair, cloud in items]
+        pairs = [pair for pair, _ in items]
+        pos1 = [constant(cloud.positions) for _, cloud in items]
+        col1 = [constant(cloud.colors) if cloud.has_colors else None for _, cloud in items]
+        bounds = _offsets(pos1)
+        return _means(_epe_norms(self._flows(pos1, col1, pairs), pairs, bounds), bounds)
 
     def config_digest(self) -> str:
         return hashlib.sha256(repr(self._digest_key()).encode()).hexdigest()[:12]
@@ -425,8 +434,8 @@ class TinyNetEstimator(Estimator):
     """Tiny flow-embedding network: encode both clouds, attend over the k
     nearest second-cloud points, decode a flow vector per first-cloud point.
 
-    The batched methods run a batch of pairs as one forward (and one tape,
-    with gradients) over their row-stacked points; see tiny_flow.
+    A batch's flows come from one tiny_flow over the pairs' row-stacked
+    points, with the second clouds' encodings kept per batch.
     """
 
     tag = "tiny"
@@ -441,24 +450,6 @@ class TinyNetEstimator(Estimator):
 
     def flow_tensor(self, pos1, col1, pair):
         return self._flows([pos1], [col1], [pair])
-
-    def losses_and_grads(self, items):
-        pairs = [pair for pair, _ in items]
-        g = Graph()
-        pos1 = [g.leaf(cloud.positions) for _, cloud in items]
-        col1 = [g.leaf(cloud.colors) if cloud.has_colors else None for _, cloud in items]
-        bounds = _offsets(pos1)
-        norms = _epe_norms(self._flows(pos1, col1, pairs), pairs, bounds)
-        grads = ad.backward(pair_means(norms, bounds))
-        return [(loss, grads[p.node_id], grads[c.node_id] if c is not None else None)
-                for loss, p, c in zip(_means(norms, bounds), pos1, col1)]
-
-    def epes(self, items):
-        pairs = [pair for pair, _ in items]
-        pos1 = [constant(cloud.positions) for _, cloud in items]
-        col1 = [constant(cloud.colors) if cloud.has_colors else None for _, cloud in items]
-        bounds = _offsets(pos1)
-        return _means(_epe_norms(self._flows(pos1, col1, pairs), pairs, bounds), bounds)
 
     def _flows(self, pos1, col1, pairs) -> Tensor:
         w = [constant(a) for a in self.weights.arrays()]

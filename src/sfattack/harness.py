@@ -3,9 +3,9 @@ degradation aggregation, deterministic JSON/CSV reports, and SVG plots.
 
 run_experiment cuts a dataset, in order, into batches of at most
 BATCH_ROWS first-cloud rows and runs one task per batch and grid entry:
-each attack step scores the batch's pairs together (one tape per step for
-the tiny net, one per pair for OT).  A task that fails is rerun pair by
-pair, so every record is the one its pair would get alone, bit for bit.
+each attack step scores the batch's pairs together, on one tape.  A task
+that fails is rerun pair by pair, so every record is the one its pair
+would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ ATTACK_KINDS = ("none", "fgsm", "pgd", "random")
 # First-cloud rows per batch of pairs: the largest power of two at which a
 # batched tiny-net attack pass peaks (tracemalloc) no higher than a 4-pair
 # training step on clouds of the same size, so eval raises no high-water mark.
+# It also bounds a batched OT pass, whose tape holds every pair's N x M
+# arrays at once: a batch holds at most BATCH_ROWS first-cloud rows, so its
+# tape never exceeds that of one pair with that many rows against the
+# batch's largest second cloud.
 BATCH_ROWS = 512
 
 
@@ -173,8 +177,9 @@ def pair_baselines(pairs: list[ScenePair], est: Estimator, grid: list[GridEntry]
     """(baseline EPE, clean_pass result or None) of each pair for the entries
     of `grid`.  When an entry steps from the clean cloud of some pair, the
     pairs share one batched clean pass, and its losses are the baselines;
-    otherwise, or for a non-finite cloud (no graph leaf), the EPE is
-    forward-only.  A pair's results do not depend on the other pairs."""
+    otherwise, or for a single pair's non-finite cloud (no graph leaf), the
+    EPE is forward-only.  A pair's results do not depend on the other
+    pairs; a batch with a non-finite cloud raises (see _baselines)."""
     for pair in pairs:
         if pair.gt_flow is None:
             raise ValidationError("attack requires a pair with gt_flow")
@@ -182,8 +187,8 @@ def pair_baselines(pairs: list[ScenePair], est: Estimator, grid: list[GridEntry]
         try:
             return [(clean[0], clean) for clean in clean_pass(pairs, est)]
         except ad.DomainError:
-            if len(pairs) > 1:  # find the pairs that fail, each on its own
-                return [b for pair in pairs for b in pair_baselines([pair], est, grid)]
+            if len(pairs) > 1:
+                raise
     return [(after, None) for after in est.epes([(pair, pair.pc1) for pair in pairs])]
 
 

@@ -4,7 +4,7 @@ import pytest
 from sfattack import autodiff as ad
 from sfattack.autodiff import Tensor, constant
 
-from oracle_ops import exp, mul, recip, row_sum, unrolled_median_scale
+from oracle_ops import exp, gather_rows, mul, recip, row_sum, unrolled_median_scale
 
 
 def _unrolled_sinkhorn(cost, reg, iters):
@@ -40,7 +40,7 @@ def _looped_attention(e1, e2, idx, bounds=None):
     neigh_feats = []
     logits = []
     for j in range(idx.shape[1]):
-        f2j = ad.gather_rows(e2, idx[:, j])               # (N, H)
+        f2j = gather_rows(e2, idx[:, j])                  # (N, H)
         d = ad.sub(e1, f2j)
         logits.append(ad.smul(row_sum(mul(d, d)), -1.0))  # (N, 1)
         neigh_feats.append(f2j)

@@ -7,6 +7,8 @@ from the engine's per-node VJPs: an independent check of each hand-written
 VJP in sfattack.estimators.  add, sub and mul here broadcast further than
 the engine's add and sub: a scalar, (1,1), (1,M), (M,) or (N,1) operand
 meets an (N,M) one, and its gradient is summed back to its shape.
+gather_rows here takes rows in any order, repeats included, where the
+engine's takes strictly increasing rows only.
 train_tiny_per_pair is the trainer that records one sub-graph per pair:
 the reference for the bits of estimators.train_tiny, which stacks a
 minibatch's pairs by rows.  loss_and_grads, pgd_per_pair and
@@ -110,6 +112,26 @@ def row_sum(a) -> Tensor:
     m = a.shape[1]
     return ad._emit("row-sum", (a,), a.data.sum(axis=1, keepdims=True),
                     lambda g: (np.repeat(g, m, axis=1),))
+
+
+def gather_rows(a, indices) -> Tensor:
+    """Rows of a matrix picked by a flat index list in any order, unlike the
+    engine's gather_rows; a row may repeat, and its gradient is then the
+    sum of its copies' gradients."""
+    a = ad._coerce(a)
+    idx = np.asarray(indices, dtype=np.intp)
+    if a.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeError("gather-rows needs a matrix and a flat index list")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeError("gather-rows index out of range")
+    shape = a.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        np.add.at(out, idx, g)
+        return (out,)
+
+    return ad._emit("gather-rows", (a,), a.data[idx], vjp)
 
 
 def recip(t) -> Tensor:

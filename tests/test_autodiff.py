@@ -123,21 +123,25 @@ class TestPrimitives:
 
 
 class TestRowPrimitives:
-    """stack-rows and gather-rows, which a tiny-net minibatch records."""
+    """stack-rows and gather-rows, which a tiny-net minibatch records, and
+    the oracles' gather_rows, which also takes repeated rows in any order."""
 
-    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, 4], [4, 0, 2, 2, 4, 1]],
-                             ids=["distinct", "repeated"])
-    def test_gather_rows_gradcheck(self, rows):
+    @pytest.mark.parametrize("gather, rows", [
+        (ad.gather_rows, [0, 1, 2, 3, 4]),
+        (ad.gather_rows, [1, 3, 4]),
+        (ops.gather_rows, [4, 0, 2, 2, 4, 1]),
+    ], ids=["distinct", "subset", "repeated"])
+    def test_gather_rows_gradcheck(self, gather, rows):
         rng = np.random.default_rng(len(rows))
         out_w = ad.constant(rng.normal(size=(len(rows), 3)))
-        rep = ad.gradcheck(lambda x: ad.tmean(ops.mul(ad.gather_rows(x, rows), out_w)),
+        rep = ad.gradcheck(lambda x: ad.tmean(ops.mul(gather(x, rows), out_w)),
                            [rng.normal(size=(5, 3))])
         assert rep.passed and rep.n_coords == 15
 
     def test_gather_rows_sums_repeats(self):
         g = ad.Graph()
         x = g.leaf(np.arange(6.0).reshape(3, 2))
-        picked = ad.gather_rows(x, [2, 0, 2])
+        picked = ops.gather_rows(x, [2, 0, 2])
         assert picked.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
         grad = g._nodes[picked.node_id].vjp(np.arange(6.0).reshape(3, 2))[0]
         assert grad.tolist() == [[2.0, 3.0], [0.0, 0.0], [4.0, 6.0]]
@@ -166,11 +170,13 @@ class TestRowPrimitives:
         lambda: ad.gather_rows(np.zeros((3, 2)), [[0]]),
         lambda: ad.gather_rows(np.zeros((3, 2)), [3]),
         lambda: ad.gather_rows(np.zeros((3, 2)), [-1]),
+        lambda: ad.gather_rows(np.zeros((3, 2)), [0, 2, 1]),
+        lambda: ad.gather_rows(np.zeros((3, 2)), [0, 1, 1]),
         lambda: ad.stack_rows([]),
         lambda: ad.stack_rows([np.zeros((2, 3)), np.zeros((2, 2))]),
         lambda: ad.stack_rows([np.zeros(3)]),
     ], ids=["gather-vector", "gather-2d-index", "gather-past-end", "gather-negative",
-            "stack-none", "stack-widths", "stack-vector"])
+            "gather-unsorted", "gather-repeated", "stack-none", "stack-widths", "stack-vector"])
     def test_shape_errors(self, call):
         with pytest.raises(ad.ShapeError):
             call()
@@ -353,7 +359,7 @@ def _recipes():
         return ad.tmean(ops.log(ops.add(ops.row_sum(ops.mul(c, c)), ad.constant(0.1))))
 
     def r4(x, y):
-        gathered = ad.gather_rows(x, [0, 2, 1, 2])
+        gathered = ops.gather_rows(x, [0, 2, 1, 2])
         return ad.tmean(ops.relu(ops.sub(ad.matmul(gathered, y), ad.constant(0.2))))
 
     def r5(x, col, row):

@@ -1,10 +1,10 @@
 """Batched attacks against the per-pair oracle, bit for bit.
 
-run_experiment attacks a batch of pairs per step, and the tiny net records
-one tape for the whole batch.  Every record (EPEs and `rel` by repr) and
-every input gradient (by tobytes) must be what the pair gets alone: the
-oracle in oracle_ops runs one pair at a time, one tape per pair through
-Estimator.flow_tensor.  The sets cover plain, coloured, dropped-second-cloud
+run_experiment attacks a batch of pairs per step, and either estimator
+records one tape for the whole batch.  Every record (EPEs and `rel` by
+repr) and every input gradient (by tobytes) must be what the pair gets
+alone: the oracle in oracle_ops runs one pair at a time, one tape per pair
+through Estimator.flow_tensor.  The sets cover plain, coloured, dropped-second-cloud
 (fewer second-cloud points than k) and ragged-first-cloud pairs, short
 clouds in a tall stack among them, where BLAS rounds a row differently when
 a batch is multiplied as one segment.
@@ -74,7 +74,7 @@ def test_tiny_records_match_per_pair(kind, jobs):
     assert sum(r.error is None for r in report.records) >= 5 * len(data)
 
 
-@pytest.mark.parametrize("kind", ["color", "ragged"])
+@pytest.mark.parametrize("kind", SETS)
 def test_ot_records_match_per_pair(kind):
     data = _dataset(kind)
     est = _estimator("ot", data)
@@ -84,7 +84,8 @@ def test_ot_records_match_per_pair(kind):
 
 
 @pytest.mark.parametrize("batch_rows", [1, 32])
-def test_batch_boundaries(monkeypatch, batch_rows):
+@pytest.mark.parametrize("est_kind", ["tiny", "ot"])
+def test_batch_boundaries(monkeypatch, est_kind, batch_rows):
     # batches of one pair each, and ragged batches with a pair of 64 rows
     # (more than a batch holds) on its own
     data = _dataset("ragged")
@@ -92,7 +93,7 @@ def test_batch_boundaries(monkeypatch, batch_rows):
     sizes = [[p.pc1.n_points for p in b] for b in harness.batches(data)]
     assert sizes == ([[n] for n in (5, 17, 30, 9, 64, 3, 12)] if batch_rows == 1
                      else [[5, 17], [30], [9], [64], [3, 12]])
-    est = _estimator("tiny", data)
+    est = _estimator(est_kind, data)
     report = run_experiment(data, est, GRID, seed=9, jobs=2)
     expect = ops.run_experiment_per_pair(data, est, GRID, 9)
     assert [repr(r) for r in report.records] == [repr(r) for r in expect]
@@ -138,7 +139,7 @@ def test_pgd_batch_matches_pairs_alone():
 def test_one_tape_per_step(monkeypatch):
     # the six-cell grid on one batch: a clean pass shared by the FGSM cells
     # and PGD's first step, then PGD's 9 more steps, each one tape for all
-    # pairs; the OT estimator records one tape per pair
+    # pairs, whichever the estimator
     data = make_dataset(8, DatasetSpec(n_points=32, angle_range=(0.0, 0.2)), seed=2)
     assert len(harness.batches(data)) == 1
     grid = [grid_entry_from_dict(e) for e in [
@@ -151,7 +152,7 @@ def test_one_tape_per_step(monkeypatch):
     assert len(tapes) == 10
     tapes.clear()
     run_experiment(data, OTEstimator(sinkhorn_iters=3), grid, seed=0)
-    assert len(tapes) == 10 * len(data)
+    assert len(tapes) == 10
 
 
 def test_batch_pass_peaks_below_a_training_step():

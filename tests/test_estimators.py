@@ -236,7 +236,9 @@ class TestFusedSinkhorn:
 
     def test_memory_bounded_in_n(self):
         # the unrolled tape held about 130 N x M arrays for one pass; the
-        # fused pass peaks at 6.2, since the tape keeps only what VJPs read
+        # fused pass peaks at 6.2, since the tape keeps only what VJPs read.
+        # A batched pass holds every pair's tape at once, and is held to the
+        # same bound on the pairs' summed N x M bytes (two pairs: 4.9).
         pair = _colored_pair(256)
         nm_bytes = pair.pc1.n_points * pair.pc2.n_points * 8
         tracemalloc.start()
@@ -249,6 +251,15 @@ class TestFusedSinkhorn:
         finally:
             tracemalloc.stop()
         assert peak < 7.75 * nm_bytes
+        batch = [make_pair(256, MotionSpec(angle=0.2, translation=(0.1, 0.0, 0.0)),
+                           with_color=True, seed=s) for s in (1, 2)]
+        tracemalloc.start()
+        try:
+            OTEstimator().losses_and_grads([(p, p.pc1) for p in batch])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.75 * sum(p.pc1.n_points * p.pc2.n_points * 8 for p in batch)
 
     def test_forward_keeps_what_vjps_read(self):
         # three N x M arrays: the squared distances and the summed cost, read

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -266,6 +267,7 @@ class TestRunExperiment:
         # six-cell grid: one clean fwd+bwd shared by the 4 FGSM cells and PGD's
         # first step, 9 more PGD steps, and 5 attacked clouds scored.  Without
         # a cell that steps from the clean cloud, the baseline is forward-only.
+        # Each flow is one pair's; each backward is one step over a batch.
         backward_calls = []
         backward = ad.backward
         monkeypatch.setattr(ad, "backward",
@@ -273,13 +275,20 @@ class TestRunExperiment:
         run_experiment(small_dataset, counting_est,
                        [grid_entry_from_dict(e) for e in grid], seed=0)
         assert counting_est.flow_calls == flows * len(small_dataset)
-        assert len(backward_calls) == backwards * len(small_dataset)
+        assert len(backward_calls) == backwards * len(batches(small_dataset))
 
-    def test_non_finite_cloud_keeps_cell_errors(self, small_dataset):
+    @pytest.mark.parametrize("kind, errors", [
         # the tiny net's forward takes a NaN point, but no graph leaf does:
-        # the run completes and each FGSM/PGD cell of that pair records the
-        # failure.  Its batch is rerun pair by pair, so the other pairs'
-        # records are those of a run without it.
+        # each FGSM/PGD cell of that pair records the failure, and the
+        # random cell, which takes no gradient, completes
+        ("tiny", {"DomainError: leaf values must be finite": 5, None: 1}),
+        # OT's forward fails on the non-finite cost too, so the pair's
+        # baseline fails and each of its records carries that
+        ("ot", {"DomainError: cost must be finite": 6}),
+    ], ids=["tiny", "ot"])
+    def test_non_finite_cloud_keeps_cell_errors(self, small_dataset, kind, errors):
+        # the run completes; the batch is rerun pair by pair, so the other
+        # pairs' records are those of a run without the bad pair
         from sfattack.scene import PointCloud, ScenePair
         pair = small_dataset[0]
         pos = pair.pc1.positions.copy()
@@ -287,12 +296,12 @@ class TestRunExperiment:
         bad = ScenePair(PointCloud(pos), pair.pc2, pair.gt_flow, "nan")
         good = [small_dataset[1], small_dataset[2]]
         grid = [grid_entry_from_dict(e) for e in SIX_CELL_GRID]
-        est = TinyNetEstimator(init_weights(3, seed=5))
+        est = (TinyNetEstimator(init_weights(3, seed=5)) if kind == "tiny"
+               else OTEstimator(sinkhorn_iters=8))
         report = run_experiment([good[0], bad, good[1]], est, grid, seed=0)
         assert len(batches([good[0], bad, good[1]])) == 1
-        errors = [r.error for r in report.records if r.pair_id == "nan"]
-        assert errors.count("DomainError: leaf values must be finite") == 5
-        assert errors.count(None) == 1  # the random cell
+        got = [r.error for r in report.records if r.pair_id == "nan"]
+        assert Counter(got) == errors
         alone = run_experiment(good, est, grid, seed=0)
         assert [repr(r) for r in report.records if r.pair_id != "nan"] == \
             [repr(r) for r in alone.records]
