@@ -13,7 +13,9 @@ library and writes what it produces under DIR:
   colour-channel, single-dimension and random-start cells; and of the
   plain tiny net on 40 pairs whose second clouds lost a fifth of their
   points, 2,560 first-cloud rows, more than one batch of pairs holds, so
-  that the batch boundaries are compared too;
+  that the batch boundaries are compared too; and of OT on 3 pairs, one of
+  which has a first-cloud point at (5, 5, 5), so that its baseline fails
+  and the error records it gets are compared too;
 - `models/`: the SFTN weights `train` writes: a coloured model trained on
   12 pairs (3 full minibatches), and a plain one on 10 pairs whose second
   clouds lost a fifth of their points (so a minibatch of 2 ends each
@@ -142,6 +144,19 @@ def _write_grads() -> None:
             Path("grads", f"{name}_batch.bin").write_bytes(b"".join(blobs))
 
 
+def _move_far_off(path: str) -> None:
+    """Move the first point of a pair's first cloud to (5, 5, 5): OT's
+    Sinkhorn row of that point underflows, so the pair's baseline fails."""
+    from dataclasses import replace
+
+    from sfattack.scene import PointCloud, load_sfp, save_sfp
+
+    pair = load_sfp(Path(path).read_bytes())
+    pos = pair.pc1.positions.copy()
+    pos[0] = 5.0
+    Path(path).write_bytes(save_sfp(replace(pair, pc1=PointCloud(pos, pair.pc1.colors))))
+
+
 def write_tree(out: Path) -> None:
     """Run the battery with `out` as the working directory, so that what the
     commands print holds relative paths only."""
@@ -167,6 +182,9 @@ def write_tree(out: Path) -> None:
                           "--out", "models/tiny_plain_ragged.sftn"])
     _run("generate_batches", ["generate", "--scenes", 40, "--points", 64, "--drop", 0.2,
                               "--seed", 11, "--out", "data/batches"])
+    _run("generate_far", ["generate", "--scenes", 3, "--points", 64, "--seed", 13,
+                          "--out", "data/far"])
+    _move_far_off("data/far/pair_0001.sfp")
 
     runs = [("directional_ot", "ot", "directional", "directional")]
     for motion in ("rigid", "deform"):
@@ -181,6 +199,9 @@ def write_tree(out: Path) -> None:
                 "eval", "--model", model, "--data", f"data/{dataset}",
                 "--grid", f"{grid}_grid.json", "--jobs", jobs, "--seed", 3,
                 "--report", f"{stem}.json", "--csv", f"{stem}.csv"])
+    _run("eval_far_ot", ["eval", "--data", "data/far", "--grid", "directional_grid.json",
+                         "--seed", 3, "--report", "reports/far_ot.json",
+                         "--csv", "reports/far_ot.csv"])
 
     deform, plain = "data/deform/pair_0003.sfp", "data/directional/pair_0000.sfp"
     for name, infile, argv in (

@@ -3,15 +3,15 @@
 A Graph is a tape: operations append nodes in topological order, and
 backward() sweeps the tape once in reverse.  Tensors are thin handles
 around numpy arrays; a tensor either lives on a graph (tracked) or is a
-plain constant.  The primitive set is only what the two estimators, the
-EPE loss and the trainer record: elementwise add/sub, matmul, mean,
-concat, stack-rows, gather-rows, rowwise L2 norm, and pairwise squared
-distances; and scalar-mul, which the fixed acceptance tests use.  Five
-fused nodes with hand-written VJPs go through _emit like any primitive;
-they live in sfattack.estimators next to their callers: median-scale,
-sinkhorn, dense (one tiny-net layer), knn-attention and pair-means (the
-loss of a training minibatch or of a batch of attack passes).  add and sub
-take operands of equal shape, concat joins two matrices column-wise,
+plain constant.  The primitive set is only what the two estimators and
+the trainer record: elementwise add/sub, matmul, concat, stack-rows,
+gather-rows and pairwise squared distances; and scalar-mul, which the
+fixed acceptance tests use.  Five fused nodes with hand-written VJPs go
+through _emit like any primitive; they live in sfattack.estimators next to
+their callers: median-scale, sinkhorn, dense (one tiny-net layer),
+knn-attention and pair-epes (the EPE of each pair of a batch of flows, and
+the loss of a training minibatch or of a batch of attack passes).  add and
+sub take operands of equal shape, concat joins two matrices column-wise,
 stack-rows joins matrices row-wise (a batch's first clouds, or its flows),
 and gather-rows picks rows by strictly increasing index (a tiny-net
 minibatch's first clouds out of its stacked encodings).
@@ -177,17 +177,7 @@ def matmul(a, b) -> Tensor:
                             None if keep_a is None else keep_a.T @ g))
 
 
-# -- reductions and shape primitives ------------------------------------
-
-def tmean(a) -> Tensor:
-    a = _coerce(a)
-    shape = a.shape
-    size = a.data.size
-    if size == 0:
-        raise ShapeError("mean of an empty tensor")
-    return _emit("mean", (a,), np.asarray(a.data.mean()),
-                 lambda g: (np.full(shape, float(g) / size),))
-
+# -- shape primitives ---------------------------------------------------
 
 def concat(a, b) -> Tensor:
     """Join two matrices with the same number of rows column-wise."""
@@ -232,23 +222,6 @@ def gather_rows(a, indices) -> Tensor:
         return (out,)
 
     return _emit("gather-rows", (a,), a.data[idx], vjp)
-
-
-def rownorm(a) -> Tensor:
-    """Rowwise Euclidean norm of a matrix; subgradient 0 at zero rows."""
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ShapeError("rowwise-L2-norm expects a matrix")
-    va = a.data
-    value = np.sqrt((va * va).sum(axis=1))
-
-    def vjp(g):
-        safe = np.where(value > 0.0, value, 1.0)
-        out = (g / safe)[:, None] * va
-        out[value == 0.0] = 0.0
-        return (out,)
-
-    return _emit("rowwise-L2-norm", (a,), value, vjp)
 
 
 def pairwise_sqdist(a, b) -> Tensor:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -210,7 +212,36 @@ def cli_main(argv=None) -> int:
         return 2
 
 
+# glibc mallopt parameters (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD) and values,
+# by the name GLIBC_TUNABLES gives each after "glibc.malloc."
+_MALLOPT = {"mmap_threshold": (-3, 32 << 20), "trim_threshold": (-1, 1 << 30)}
+
+
+def _tune_malloc() -> None:
+    """Fix glibc malloc's mmap threshold at 32 MiB and its trim threshold
+    at 1 GiB; on any other C library, do nothing.
+
+    glibc's default moves the mmap threshold with the history of frees, so
+    the N x M arrays of a pass are served from the heap or mmapped and
+    faulted in afresh on every allocation, depending on what ran before.
+    A threshold set through GLIBC_TUNABLES is left as it is.  Outputs do not
+    depend on the allocator.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # not glibc
+        return
+    tunables = {item.split("=", 1)[0]
+                for item in os.environ.get("GLIBC_TUNABLES", "").split(":")}
+    libc = ctypes.CDLL(None)
+    for name, (param, value) in _MALLOPT.items():
+        if f"glibc.malloc.{name}" not in tunables:
+            libc.mallopt(param, value)
+
+
 def main() -> None:
+    _tune_malloc()
     sys.exit(cli_main())
 
 

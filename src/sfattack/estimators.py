@@ -10,8 +10,11 @@ tape: per-pair EPEs, with or without the input gradients.  The OT
 estimator's batch is one sub-graph per pair, its flows stacked by rows.
 The tiny net's forward takes a batch of pairs with their points stacked by
 rows, so training records one tape per minibatch.  Its nodes work per
-cloud or per pair where the bits depend on it.  Either way a batch's
-values and gradients are those of one tape per pair, bit for bit.
+cloud or per pair where the bits depend on it.  Every pass, one pair or a
+batch, attack or training step, is scored by one fused node, pair_epes:
+each pair's EPE, and their sum (a minibatch's mean) as the tape's root.
+Either way a batch's values and gradients are those of one tape per pair,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -41,11 +44,46 @@ class TrainingError(RuntimeError):
 
 def epe_loss(pred, gt) -> Tensor:
     """Mean Euclidean distance between predicted and true flow vectors."""
-    pred_t = pred if isinstance(pred, Tensor) else constant(_vectors(pred))
-    gt_v = _vectors(gt)
-    if pred_t.shape != gt_v.shape:
-        raise ad.ShapeError(f"flow shapes differ: {pred_t.shape} vs {gt_v.shape}")
-    return ad.tmean(ad.rownorm(ad.sub(pred_t, constant(gt_v))))
+    return pair_epes(pred, [gt])[0]
+
+
+def pair_epes(flow, gts: list, scale: float = 1.0) -> tuple[Tensor, list[float]]:
+    """The EPE of each pair of a batch of flows stacked by rows, and scale
+    times their sum in pair order as one tape node.
+
+    Pair p's flow is the rows of `flow` that gts[p], its ground truth,
+    covers, in order.  The forward takes the difference, each row's
+    Euclidean norm and each pair's mean norm, then adds the means in pair
+    order and scales the sum: a batch of attack passes takes the plain sum,
+    a training minibatch the mean (scale 1/B).  Row r of pair p gets the
+    gradient ((g * scale) / N_p / |d_r|) * d_r, where d_r is its
+    difference, and 0 where |d_r| is 0.  Value and gradient have the bits
+    of the per-pair sub, rowwise-norm and mean nodes the node replaces.
+    """
+    flow = flow if isinstance(flow, Tensor) else constant(_vectors(flow))
+    vecs = [_vectors(v) for v in gts]
+    if (not vecs or flow.data.ndim != 2
+            or any(v.shape[1:] != flow.shape[1:] or len(v) == 0 for v in vecs)
+            or flow.shape[0] != sum(map(len, vecs))):
+        raise ad.ShapeError(f"flow shapes differ: {flow.shape} vs "
+                            f"{', '.join(str(v.shape) for v in vecs)}")
+    diff = flow.data - np.concatenate(vecs)
+    norms = np.sqrt((diff * diff).sum(axis=1))
+    bounds = _offsets(vecs)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    means = [float(norms[s:e].mean()) for s, e in spans]
+    total = means[0]
+    for m in means[1:]:
+        total += m
+
+    def vjp(g):
+        gs = float(g * scale)
+        gn = np.concatenate([np.full(e - s, gs / (e - s)) for s, e in spans])
+        out = (gn / np.where(norms > 0.0, norms, 1.0))[:, None] * diff
+        out[norms == 0.0] = 0.0
+        return (out,)
+
+    return ad._emit("pair-epes", (flow,), np.asarray(total * scale), vjp), means
 
 
 def epe(pred, gt) -> float:
@@ -230,9 +268,9 @@ class Estimator:
     The batched methods score each cloud against its pair's ground truth,
     in place of the pair's own first cloud.  They run the whole batch as
     one forward (and one tape, with gradients) over the pairs' flows
-    stacked by rows (_flows), scored by one pair-means node.  Nothing in
-    the tape mixes pairs, so every pair's results keep the bits of its own
-    tape.
+    stacked by rows (_flows), scored by one pair-epes node, which gives
+    each pair's EPE and their sum as the tape's root.  Nothing in the tape
+    mixes pairs, so every pair's results keep the bits of its own tape.
     """
 
     tag = "estimator"
@@ -258,23 +296,29 @@ class Estimator:
         positions and colours (when present) as leaves; the colour gradient
         is None without colours.  The EPE is bitwise epes()'s.
         """
-        pairs = [pair for pair, _ in items]
         g = Graph()
-        pos1 = [g.leaf(cloud.positions) for _, cloud in items]
-        col1 = [g.leaf(cloud.colors) if cloud.has_colors else None for _, cloud in items]
-        bounds = _offsets(pos1)
-        norms = _epe_norms(self._flows(pos1, col1, pairs), pairs, bounds)
-        grads = ad.backward(pair_means(norms, bounds))
+        pos1, col1, root, losses = self._score(items, g.leaf)
+        grads = ad.backward(root)
         return [(loss, grads[p.node_id], grads[c.node_id] if c is not None else None)
-                for loss, p, c in zip(_means(norms, bounds), pos1, col1)]
+                for loss, p, c in zip(losses, pos1, col1)]
 
     def epes(self, items: list[tuple[ScenePair, PointCloud]]) -> list[float]:
         """The forward-only EPE of each (pair, cloud)."""
+        return self._score(items, constant)[3]
+
+    def _score(self, items, wrap) -> tuple:
+        """Each cloud's positions and colours (None without) through `wrap`,
+        a graph's leaf or constant, then pair_epes of the batch's flows: the
+        root and each pair's EPE."""
         pairs = [pair for pair, _ in items]
-        pos1 = [constant(cloud.positions) for _, cloud in items]
-        col1 = [constant(cloud.colors) if cloud.has_colors else None for _, cloud in items]
-        bounds = _offsets(pos1)
-        return _means(_epe_norms(self._flows(pos1, col1, pairs), pairs, bounds), bounds)
+        for pair, cloud in items:  # pair_epes sees only the batch's row total
+            if cloud.n_points != pair.gt_flow.n_points:
+                raise ad.ShapeError(f"flow shapes differ: {cloud.n_points} points "
+                                    f"vs {pair.gt_flow.n_points} flow vectors")
+        pos1 = [wrap(cloud.positions) for _, cloud in items]
+        col1 = [wrap(cloud.colors) if cloud.has_colors else None for _, cloud in items]
+        return (pos1, col1, *pair_epes(self._flows(pos1, col1, pairs),
+                                       [pair.gt_flow for pair in pairs]))
 
     def config_digest(self) -> str:
         return hashlib.sha256(repr(self._digest_key()).encode()).hexdigest()[:12]
@@ -472,44 +516,6 @@ class TinyNetEstimator(Estimator):
     def _digest_key(self):
         blob = save_weights(self.weights)
         return (self.tag, hashlib.sha256(blob).hexdigest()[:12])
-
-
-def _epe_norms(flow: Tensor, pairs, bounds: list[int]) -> Tensor:
-    """The per-point EPE terms of a batch of flows whose pair p is rows
-    bounds[p]:bounds[p+1]: epe_loss's arithmetic before its mean."""
-    gt = [_vectors(pair.gt_flow) for pair in pairs]
-    for s, e, v in zip(bounds[:-1], bounds[1:], gt):
-        if (e - s, 3) != v.shape:
-            raise ad.ShapeError(f"flow shapes differ: {(e - s, 3)} vs {v.shape}")
-    return ad.rownorm(ad.sub(flow, constant(np.concatenate(gt))))
-
-
-def _means(norms: Tensor, bounds: list[int]) -> list[float]:
-    """Each pair's mean of `norms`: its EPE, bitwise epe_loss's value."""
-    return [float(norms.data[s:e].mean()) for s, e in zip(bounds[:-1], bounds[1:])]
-
-
-def pair_means(norms: Tensor, bounds: list[int], scale: float = 1.0) -> Tensor:
-    """scale times the sum over pairs of each pair's mean of `norms`, whose
-    pair p is rows bounds[p]:bounds[p+1], as one tape node.
-
-    The arithmetic of the per-pair graph it replaces: one mean per pair,
-    the means added in pair order, the sum scaled.  Row r of pair p gets
-    the gradient (g * scale) / N_p, which is tmean's g / N_p at scale 1: a
-    batch of attack passes takes the plain sum, a training minibatch the
-    mean (scale 1/B).
-    """
-    means = _means(norms, bounds)
-    total = means[0]
-    for m in means[1:]:
-        total += m
-
-    def vjp(g):
-        gs = float(g * scale)
-        return (np.concatenate([np.full(e - s, gs / (e - s))
-                                for s, e in zip(bounds[:-1], bounds[1:])]),)
-
-    return ad._emit("pair-means", (norms,), np.asarray(total * scale), vjp)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool,
@@ -825,8 +831,7 @@ def train_tiny(dataset: list[ScenePair], epochs: int,
             col1 = [constant(p.pc1.colors) if with_color else None for p in pairs]
             pred = tiny_flow(pos1, col1, pairs, w, weights.k_neighbors,
                              idx=[neighbours[i] for i in batch])
-            bounds = _offsets(pos1)
-            loss = pair_means(_epe_norms(pred, pairs, bounds), bounds, 1.0 / len(pairs))
+            loss, _ = pair_epes(pred, [p.gt_flow for p in pairs], 1.0 / len(pairs))
             value = float(loss.data)
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -349,7 +350,8 @@ def aggregate(records: list[ExperimentRecord]) -> list[dict]:
 # -- serialization --------------------------------------------------------
 
 def _sig6(x: Optional[float]):
-    if x is None:
+    # None, NaN (a failed record's EPE) and ±inf become null: strict JSON
+    if x is None or not math.isfinite(x):
         return None
     return float(f"{x:.6g}")
 
@@ -364,7 +366,7 @@ def report_to_json_dict(report: Report) -> dict:
                 "eps": _sig6(r.eps), "iters": r.iters,
                 "alpha": _sig6(r.alpha), "seed": r.seed,
                 "epe_before": _sig6(r.epe_before),
-                "epe_after": _sig6(r.epe_after) if r.error is None else None,
+                "epe_after": _sig6(r.epe_after),
                 "rel": r.rel, "ms": r.wall_time_ms,
                 **({"error": r.error} if r.error else {}),
             }

@@ -9,6 +9,10 @@ the engine's add and sub: a scalar, (1,1), (1,M), (M,) or (N,1) operand
 meets an (N,M) one, and its gradient is summed back to its shape.
 gather_rows here takes rows in any order, repeats included, where the
 engine's takes strictly increasing rows only.
+tmean and rownorm, the whole-tensor mean and the rowwise Euclidean norm,
+are not in the engine: with its sub, they are the unfused chain that
+estimators.pair_epes replaces, and generic reductions for the composite
+graphs.
 train_tiny_per_pair is the trainer that records one sub-graph per pair:
 the reference for the bits of estimators.train_tiny, which stacks a
 minibatch's pairs by rows.  loss_and_grads, pgd_per_pair and
@@ -112,6 +116,33 @@ def row_sum(a) -> Tensor:
     m = a.shape[1]
     return ad._emit("row-sum", (a,), a.data.sum(axis=1, keepdims=True),
                     lambda g: (np.repeat(g, m, axis=1),))
+
+
+def tmean(a) -> Tensor:
+    a = ad._coerce(a)
+    shape = a.shape
+    size = a.data.size
+    if size == 0:
+        raise ShapeError("mean of an empty tensor")
+    return ad._emit("mean", (a,), np.asarray(a.data.mean()),
+                    lambda g: (np.full(shape, float(g) / size),))
+
+
+def rownorm(a) -> Tensor:
+    """Rowwise Euclidean norm of a matrix; subgradient 0 at zero rows."""
+    a = ad._coerce(a)
+    if a.data.ndim != 2:
+        raise ShapeError("rowwise-L2-norm expects a matrix")
+    va = a.data
+    value = np.sqrt((va * va).sum(axis=1))
+
+    def vjp(g):
+        safe = np.where(value > 0.0, value, 1.0)
+        out = (g / safe)[:, None] * va
+        out[value == 0.0] = 0.0
+        return (out,)
+
+    return ad._emit("rowwise-L2-norm", (a,), value, vjp)
 
 
 def gather_rows(a, indices) -> Tensor:

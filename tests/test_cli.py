@@ -1,8 +1,14 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sfattack import cli
 from sfattack.cli import cli_main
 from sfattack.scene import ScenePair, load_sfp, save_sfp
 from sfattack.estimators import load_weights
@@ -461,3 +467,87 @@ class TestPlot:
             "--eps", "0.1", "--in", str(dataset_dir / "pair_0000.sfp"),
             "--out", str(tmp_path / "x.sfp"))
         assert code == 1
+
+
+class TestTuneMalloc:
+    """main() fixes glibc's malloc thresholds; cli_main(), which the tests and
+    the benchmark call in-process, leaves the allocator alone."""
+
+    class FakeLibc:
+        def __init__(self):
+            self.calls = []
+
+        def mallopt(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        fake = self.FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: fake)
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.delenv("GLIBC_TUNABLES", raising=False)
+        return fake
+
+    def test_sets_both_thresholds(self, libc):
+        cli._tune_malloc()
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    @pytest.mark.parametrize("tunables, calls", [
+        ("glibc.malloc.mmap_threshold=131072", [(-1, 1 << 30)]),
+        ("glibc.malloc.arena_max=2:glibc.malloc.trim_threshold=0", [(-3, 32 << 20)]),
+        ("glibc.malloc.trim_threshold=0:glibc.malloc.mmap_threshold=4096", []),
+        ("glibc.malloc.arena_max=2", [(-3, 32 << 20), (-1, 1 << 30)]),
+    ], ids=["mmap", "trim", "both", "other"])
+    def test_user_tunables_win(self, libc, monkeypatch, tunables, calls):
+        monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+        cli._tune_malloc()
+        assert libc.calls == calls
+
+    @pytest.mark.parametrize("error", [ValueError, OSError, AttributeError])
+    def test_other_libc_untouched(self, libc, monkeypatch, error):
+        def confstr(name):
+            raise error(name)
+
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+        cli._tune_malloc()
+        assert libc.calls == []
+
+    def test_only_main_tunes(self, libc, monkeypatch, capsys):
+        assert cli_main(["plot"]) == 1
+        assert libc.calls == []
+        monkeypatch.setattr(cli.sys, "argv", ["sfattack", "plot"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 1 and len(libc.calls) == 2
+
+    def test_real_process(self):
+        # a 1 MiB array: on the heap under the 32 MiB threshold, mmapped under
+        # a user's 128 KiB one, which the helper leaves as it is
+        if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+            pytest.skip("needs glibc's mallinfo2")
+        code = "\n".join([
+            "import ctypes, numpy as np",
+            "from sfattack.cli import _tune_malloc",
+            "class Info(ctypes.Structure):",
+            "    _fields_ = [(n, ctypes.c_size_t) for n in ('arena', 'ordblks',",
+            "                'smblks', 'hblks', 'hblkhd', 'usmblks', 'fsmblks',",
+            "                'uordblks', 'fordblks', 'keepcost')]",
+            "libc = ctypes.CDLL(None)",
+            "libc.mallinfo2.restype = Info",
+            "_tune_malloc()",
+            "before = libc.mallinfo2().hblks",
+            "a = np.ones(1 << 17)",
+            "print(libc.mallinfo2().hblks - before)",
+        ])
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        mmapped = []
+        for tunables in (None, "glibc.malloc.mmap_threshold=131072"):
+            env = {k: v for k, v in os.environ.items() if k != "GLIBC_TUNABLES"}
+            env["PYTHONPATH"] = src
+            if tunables:
+                env["GLIBC_TUNABLES"] = tunables
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True).stdout
+            mmapped.append(int(out))
+        assert mmapped == [0, 1]

@@ -34,6 +34,7 @@ from sfattack.estimators import (
     knn_indices,
     load_weights,
     median_scale,
+    pair_epes,
     save_weights,
     sinkhorn,
     tiny_flow,
@@ -79,6 +80,103 @@ class TestEpe:
         pred = g.leaf([[3.0, 4.0, 0.0]])
         grads = ad.backward(epe_loss(pred, np.zeros((1, 3))))
         assert np.allclose(grads[pred.node_id], [[0.6, 0.8, 0.0]])
+
+
+class TestPairEpes:
+    """The fused scoring node against the unfused chain it replaces: per
+    pair, sub, rownorm and tmean on the pair's own flow leaf; the pairs'
+    means added in pair order, then scaled, as a training step does."""
+
+    @staticmethod
+    def _batch(sizes, seed=0):
+        rng = np.random.default_rng(seed)
+        return ([rng.normal(size=(n, 3)) for n in sizes],
+                [rng.normal(size=(n, 3)) for n in sizes])
+
+    @staticmethod
+    def _fused(flows, gts, scale):
+        g = Graph()
+        leaves = [g.leaf(f) for f in flows]
+        root, means = pair_epes(ad.stack_rows(leaves), gts, scale)
+        grads = ad.backward(root)
+        return float(root.data), means, [grads[t.node_id] for t in leaves], g
+
+    @staticmethod
+    def _oracle(flows, gts, scale):
+        g = Graph()
+        leaves = [g.leaf(f) for f in flows]
+        terms = [ops.tmean(ops.rownorm(ad.sub(t, constant(v)))) for t, v in zip(leaves, gts)]
+        root = terms[0]
+        for term in terms[1:]:
+            root = ad.add(root, term)
+        if scale != 1.0:
+            root = ad.smul(root, scale)
+        grads = ad.backward(root)
+        return (float(root.data), [float(t.data) for t in terms],
+                [grads[t.node_id] for t in leaves])
+
+    @pytest.mark.parametrize("sizes, scale", [((7,), 1.0), ((5, 17, 11, 1), 1.0),
+                                              ((5, 17, 11, 1), 1.0 / 3)],
+                             ids=["one-pair", "ragged", "ragged-scaled"])
+    def test_matches_unfused_chain(self, sizes, scale):
+        # at scale 1/3, a pair of 11 rows tells (g * scale) / N from
+        # g / N * scale and from (g * scale) * (1 / N), bit for bit
+        flows, gts = self._batch(sizes)
+        value, means, grads, g = self._fused(flows, gts, scale)
+        want_value, want_means, want_grads = self._oracle(flows, gts, scale)
+        assert repr(value) == repr(want_value)
+        assert [repr(m) for m in means] == [repr(m) for m in want_means]
+        assert [a.tobytes() for a in grads] == [a.tobytes() for a in want_grads]
+        # one node scores the batch: the leaves, a stack-rows for B > 1, pair-epes
+        assert len(g) == len(sizes) + (len(sizes) > 1) + 1
+
+    def test_one_pair_is_epe_loss(self):
+        (flow,), (gt,) = self._batch((9,), seed=1)
+        g = Graph()
+        leaf = g.leaf(flow)
+        loss = epe_loss(leaf, FlowField(gt))
+        assert [node.tag for node in g._nodes] == ["leaf", "pair-epes"]
+        grad = ad.backward(loss)[leaf.node_id]
+        value, means, (want,), _ = self._fused([flow], [gt], 1.0)
+        assert loss.data.shape == () and float(loss.data) == value == means[0]
+        assert grad.tobytes() == want.tobytes()
+
+    def test_zero_norm_row_gets_zero_gradient(self):
+        flows, gts = self._batch((4, 3), seed=2)
+        gts[1][2] = flows[1][2]
+        _, means, grads, _ = self._fused(flows, gts, 0.5)
+        assert np.array_equal(grads[1][2], np.zeros(3))
+        assert np.all(grads[1][:2] != 0.0) and np.all(grads[0] != 0.0)
+        _, want_means, want_grads = self._oracle(flows, gts, 0.5)
+        assert means == want_means
+        assert [a.tobytes() for a in grads] == [a.tobytes() for a in want_grads]
+
+    @pytest.mark.parametrize("flow, gts", [
+        (np.zeros((5, 3)), [np.zeros((2, 3)), np.zeros((2, 3))]),
+        (np.zeros((4, 3)), [np.zeros((2, 3)), np.zeros((2, 2))]),
+        (np.zeros((2, 3)), [np.zeros((2, 3)), np.zeros((0, 3))]),
+        (np.zeros((3, 3)), [np.zeros(3)]),
+        (np.zeros(3), [np.zeros(3)]),
+        (np.zeros((0, 3)), []),
+    ], ids=["rows", "width", "empty-pair", "flat-gt", "flat-flow", "no-pairs"])
+    def test_shape_mismatch(self, flow, gts):
+        with pytest.raises(ad.ShapeError):
+            pair_epes(flow, gts)
+
+    def test_batch_rows_checked_per_pair(self):
+        # 3 + 5 cloud rows against 5 + 3 flow vectors: the totals agree
+        a, b = (make_pair(n, MotionSpec(angle=0.2), False, seed=n) for n in (5, 3))
+        items = [(a, b.pc1), (b, a.pc1)]
+        for est in (OTEstimator(sinkhorn_iters=3), TinyNetEstimator(init_weights(3, seed=0))):
+            with pytest.raises(ad.ShapeError):
+                est.losses_and_grads(items)
+            with pytest.raises(ad.ShapeError):
+                est.epes(items)
+
+    def test_gradcheck(self):
+        flows, gts = self._batch((4, 2, 5), seed=3)
+        rep = ad.gradcheck(lambda x: pair_epes(x, gts, 1.0 / 3)[0], [np.concatenate(flows)])
+        assert rep.passed and rep.n_coords == 33
 
 
 class TestSinkhorn:
@@ -141,7 +239,7 @@ class TestSinkhorn:
 
         def scalar(cost_t):
             plan = sinkhorn(cost_t, reg=0.4, iters=8)
-            return ad.tmean(ops.mul(plan, constant(w)))
+            return ops.tmean(ops.mul(plan, constant(w)))
 
         g = Graph()
         leaf = g.leaf(base)
@@ -181,7 +279,7 @@ class TestFusedSinkhorn:
             g = Graph()
             leaf = g.leaf(base)
             plan = fn(leaf, 0.1, iters)
-            out.append((plan.data, ad.backward(ad.tmean(ops.mul(plan, w)))[leaf.node_id]))
+            out.append((plan.data, ad.backward(ops.tmean(ops.mul(plan, w)))[leaf.node_id]))
         (plan, grad), (ref_plan, ref_grad) = out
         assert np.array_equal(plan, ref_plan)
         assert _rel_err(grad, ref_grad) < 1e-12
@@ -198,7 +296,7 @@ class TestFusedSinkhorn:
             g = Graph()
             leaf = g.leaf(base)
             plan = fn(leaf, OTEstimator().reg, iters)
-            out.append((plan.data, ad.backward(ad.tmean(ops.mul(plan, w)))[leaf.node_id]))
+            out.append((plan.data, ad.backward(ops.tmean(ops.mul(plan, w)))[leaf.node_id]))
         (plan, grad), (ref_plan, ref_grad) = out
         assert np.array_equal(plan, ref_plan)
         assert _rel_err(grad, ref_grad) < 1e-12
@@ -296,12 +394,12 @@ class TestFusedSinkhorn:
         grads = ad.backward(epe_loss(flow, pair.gt_flow))
         assert np.abs(grads[pos1.node_id]).max() > 0.0
 
-    @pytest.mark.parametrize("with_color, nodes", [(False, 10), (True, 13)],
+    @pytest.mark.parametrize("with_color, nodes", [(False, 8), (True, 11)],
                              ids=["plain", "color"])
     def test_pass_tape(self, with_color, nodes):
         # leaf, pairwise-sqdist, median-scale twice, sinkhorn, matmul and sub,
-        # then the loss's sub, rownorm and mean; colors add a leaf, their
-        # pairwise-sqdist and an add
+        # then the loss's pair-epes; colors add a leaf, their pairwise-sqdist
+        # and an add
         pair = make_pair(32, MotionSpec(angle=0.2), with_color, seed=8)
         g = Graph()
         pos1 = g.leaf(pair.pc1.positions)
@@ -344,7 +442,7 @@ class TestMedianScale:
             vals = rng.integers(1, 4, size=rng.integers(1, 6, size=2)).astype(float)
             g = Graph()
             leaf = g.leaf(vals)
-            grad = ad.backward(ad.tmean(median_scale(leaf)))[leaf.node_id]
+            grad = ad.backward(ops.tmean(median_scale(leaf)))[leaf.node_id]
             expect = np.argsort(vals, axis=None, kind="stable")[(vals.size - 1) // 2]
             assert np.argmin(grad) == expect
 
@@ -366,7 +464,7 @@ class TestMedianScale:
             g = Graph()
             leaf = g.leaf(cost)
             scaled = fn(leaf)
-            grad = ad.backward(ad.tmean(ops.mul(scaled, w)))[leaf.node_id]
+            grad = ad.backward(ops.tmean(ops.mul(scaled, w)))[leaf.node_id]
             out.append((scaled.data.tobytes(), grad.tobytes()))
         assert out[0] == out[1]
 
@@ -618,7 +716,7 @@ class TestDense:
             g = Graph()
             leaves = [g.leaf(x) if track_x else constant(x), g.leaf(w), g.leaf(b)]
             y = fn(*leaves, relu)
-            grads = ad.backward(ad.tmean(ops.mul(y, out_w)))
+            grads = ad.backward(ops.tmean(ops.mul(y, out_w)))
             out.append([y.data.tobytes()] + [grads[t.node_id].tobytes()
                                              for t in leaves if t.graph is not None])
         assert out[0] == out[1]
@@ -638,7 +736,7 @@ class TestDense:
             g = Graph()
             leaves = [g.leaf(x) if track_x else constant(x), g.leaf(w), g.leaf(b)]
             y = fn(*leaves, True, bounds)
-            grads = ad.backward(ad.tmean(ops.mul(y, out_w)))
+            grads = ad.backward(ops.tmean(ops.mul(y, out_w)))
             out.append([y.data] + [grads[t.node_id] for t in leaves if t.graph is not None])
         (y, *grads), (ref_y, *ref_grads) = out
         assert y.tobytes() == ref_y.tobytes()
@@ -670,7 +768,7 @@ class TestDense:
     def test_gradcheck(self, relu):
         rng = np.random.default_rng(5)
         out_w = constant(rng.normal(size=(6, 3)))
-        rep = ad.gradcheck(lambda x, w, b: ad.tmean(ops.mul(dense(x, w, b, relu), out_w)),
+        rep = ad.gradcheck(lambda x, w, b: ops.tmean(ops.mul(dense(x, w, b, relu), out_w)),
                            [rng.normal(size=(6, 4)), rng.normal(size=(4, 3)),
                             rng.normal(size=(1, 3))])
         assert rep.passed and rep.n_coords == 24 + 12 + 3
@@ -705,7 +803,7 @@ class TestKnnAttention:
             g = Graph()
             t1, t2 = g.leaf(e1), g.leaf(e2)
             att = fn(t1, t2, idx)
-            grads = ad.backward(ad.tmean(ops.mul(att, w)))
+            grads = ad.backward(ops.tmean(ops.mul(att, w)))
             out.append((att.data, grads[t1.node_id], grads[t2.node_id]))
         (att, g1, g2), (ref_att, ref_g1, ref_g2) = out
         assert np.array_equal(att, ref_att)
@@ -717,7 +815,7 @@ class TestKnnAttention:
         e1, e2, q, p = _attention_leaves(6, 8, seed=3)
         g = Graph()
         t1 = g.leaf(e1)
-        loss = ad.tmean(knn_attention(t1, constant(e2), knn_indices(q, p, 3)))
+        loss = ops.tmean(knn_attention(t1, constant(e2), knn_indices(q, p, 3)))
         assert [node.tag for node in g._nodes] == ["leaf", "knn-attention", "mean"]
         assert np.abs(ad.backward(loss)[t1.node_id]).max() > 0.0
 
@@ -805,17 +903,19 @@ class TestKnnAttention:
             assert [a.tobytes() for a in parts_got] == [a.tobytes() for a in parts_ref]
 
     def test_attack_pass_tape(self):
-        # leaf, four dense, knn-attention and concat, then the loss's sub,
-        # rownorm and mean
-        pair = make_pair(32, MotionSpec(angle=0.2), with_color=False, seed=8)
-        est = TinyNetEstimator(init_weights(3, seed=0))
-        g = Graph()
-        epe_loss(est.flow_tensor(g.leaf(pair.pc1.positions), None, pair), pair.gt_flow)
-        tags = [node.tag for node in g._nodes]
-        assert len(tags) == 10
-        assert tags.count("knn-attention") == 1
-        assert tags.count("dense") == 4  # the second cloud's encoding is constant
-        assert not {"gather-rows", "row-sum", "relu", "matmul", "add"} & set(tags)
+        # leaf, four dense, knn-attention and concat, then the loss's
+        # pair-epes; colors add a leaf and the concat of the input features
+        for with_color, nodes in ((False, 8), (True, 10)):
+            pair = make_pair(32, MotionSpec(angle=0.2), with_color=with_color, seed=8)
+            est = TinyNetEstimator(init_weights(6 if with_color else 3, seed=0))
+            g = Graph()
+            col1 = g.leaf(pair.pc1.colors) if with_color else None
+            epe_loss(est.flow_tensor(g.leaf(pair.pc1.positions), col1, pair), pair.gt_flow)
+            tags = [node.tag for node in g._nodes]
+            assert len(tags) == nodes
+            assert tags.count("knn-attention") == 1
+            assert tags.count("dense") == 4  # the second cloud's encoding is constant
+            assert not {"gather-rows", "row-sum", "relu", "matmul", "add"} & set(tags)
 
 
 class TestKnnSelection:
@@ -982,6 +1082,9 @@ class TestTraining:
         (tags,) = tapes
         assert tags.count("dense") == 4
         assert tags.count("knn-attention") == 1
+        # 8 weight leaves, 4 dense, gather-rows, knn-attention, concat and
+        # pair-epes, whatever the minibatch's size
+        assert len(tags) == 16 and tags[-1] == "pair-epes"
 
     def test_step_memory_bounded(self):
         # one step of 4 pairs of 256 points: the traced peak above the start,

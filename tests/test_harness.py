@@ -328,6 +328,37 @@ class TestRunExperiment:
             [repr(r) for r in alone.records]
         assert report.aggregates == alone.aggregates
 
+    def test_failed_baseline_report_is_strict_json(self, small_dataset, tmp_path):
+        # the far pair's records have no EPE: null, not NaN, which no strict
+        # JSON parser reads; the aggregates are those of the other pairs
+        from dataclasses import replace
+        from sfattack.scene import PointCloud
+        pos = small_dataset[1].pc1.positions.copy()
+        pos[0] = 5.0
+        bad = replace(small_dataset[1], pc1=PointCloud(pos), id="far")
+        good = [small_dataset[0], small_dataset[2]]
+        grid = [grid_entry_from_dict(e) for e in SIX_CELL_GRID[:2]]
+        est = OTEstimator(sinkhorn_iters=8)
+        report = run_experiment([good[0], bad, good[1]], est, grid, seed=0)
+        write_report(report, json_path=tmp_path / "r.json", csv_path=tmp_path / "r.csv")
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        got = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
+        far = [r for r in got["records"] if r["pair_id"] == "far"]
+        assert len(far) == 2 and all(r["error"] for r in far)
+        assert all(r["epe_before"] is None and r["epe_after"] is None for r in far)
+        alone = report_to_json_dict(run_experiment(good, est, grid, seed=0))
+        assert got["aggregates"] == alone["aggregates"]
+        assert got["records"] == sorted(
+            far + alone["records"], key=lambda r: (r["pair_id"], r["attack"], r["mask"],
+                                                   r["seed"]))
+        # the CSV still writes the failed baseline as nan, the missing EPE as ""
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "r.csv").read_text())))
+        assert [(r["epe_before"], r["epe_after"]) for r in rows if r["pair_id"] == "far"] \
+            == [("nan", "")] * 2
+
     @pytest.mark.parametrize("color", [False, True], ids=["plain", "color"])
     @pytest.mark.parametrize("kind", ["ot", "tiny"])
     def test_records_match_cells_without_clean_pass(self, color, kind):
