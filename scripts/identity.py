@@ -15,7 +15,11 @@ library and writes what it produces under DIR:
   points, 2,560 first-cloud rows, more than one batch of pairs holds, so
   that the batch boundaries are compared too; and of OT on 3 pairs, one of
   which has a first-cloud point at (5, 5, 5), so that its baseline fails
-  and the error records it gets are compared too;
+  and the error records it gets are compared too; and (`draws_*`) of OT
+  and the coloured tiny net on the coloured rigid pairs, for a grid whose
+  every attack starts from a seeded draw (random baselines, uniform and
+  +-eps, unclamped on one channel; PGD with a random start on the colour
+  channels and on one dimension), so that its baselines are forward-only;
 - `models/`: the SFTN weights `train` writes: a coloured model trained on
   12 pairs (3 full minibatches), and a plain one on 10 pairs whose second
   clouds lost a fifth of their points (so a minibatch of 2 ends each
@@ -91,6 +95,17 @@ COLOR_GRID = [
     {"attack": "pgd", "eps": 0.1, "iters": 5, "random_start": True},
     {"attack": "random", "eps": 0.1, "random_mode": "rademacher"},
 ]
+# no entry steps from the clean cloud, so baselines are forward-only, and
+# every attack starts from a seeded draw, on positions and on colours
+DRAW_GRID = [
+    {"attack": "none"},
+    {"attack": "random", "eps": 0.1},
+    {"attack": "random", "eps": 0.1, "random_mode": "rademacher", "target": "channel=1",
+     "clamp_colors": False},
+    {"attack": "random", "eps": 0.1, "target": "all-channels"},
+    {"attack": "pgd", "eps": 0.1, "iters": 3, "random_start": True, "target": "all-channels"},
+    {"attack": "pgd", "eps": 0.1, "iters": 3, "random_start": True, "target": "dim=2"},
+]
 
 
 def _import_sfattack(src: Path):
@@ -165,7 +180,8 @@ def write_tree(out: Path) -> None:
     for sub in ("data", "reports", "models", "attack", "plots", "stdout", "stderr",
                 "grads"):
         Path(sub).mkdir()
-    for name, grid in (("directional", DIRECTIONAL_GRID), ("color", COLOR_GRID)):
+    for name, grid in (("directional", DIRECTIONAL_GRID), ("color", COLOR_GRID),
+                       ("draw", DRAW_GRID)):
         Path(f"{name}_grid.json").write_text(json.dumps(grid))
 
     _run("generate_directional", ["generate", "--scenes", 64, "--points", 256,
@@ -199,6 +215,11 @@ def write_tree(out: Path) -> None:
                 "eval", "--model", model, "--data", f"data/{dataset}",
                 "--grid", f"{grid}_grid.json", "--jobs", jobs, "--seed", 3,
                 "--report", f"{stem}.json", "--csv", f"{stem}.csv"])
+    for name, model in (("ot", "ot"), ("tiny", "tiny:models/tiny_color.sftn")):
+        stem = f"reports/draws_{name}"
+        _run(f"eval_draws_{name}", ["eval", "--model", model, "--data", "data/rigid",
+                                    "--grid", "draw_grid.json", "--seed", 3,
+                                    "--report", f"{stem}.json", "--csv", f"{stem}.csv"])
     _run("eval_far_ot", ["eval", "--data", "data/far", "--grid", "directional_grid.json",
                          "--seed", 3, "--report", "reports/far_ot.json",
                          "--csv", "reports/far_ot.csv"])

@@ -2,8 +2,9 @@
 
 PGD-SF iterates signed-gradient steps and projects back onto the eps box
 around the clean cloud after every step.  FGSM-SF is PGD's single step,
-of size eps from the clean cloud.  A random-perturbation baseline
-completes the set.  Perturbations can target either position axes or
+of size eps from the clean cloud.  The random-perturbation baseline
+that completes the set is PGD's seeded random start on its own: both draw
+in one place (_start).  Perturbations can target either position axes or
 color channels, restricted to any subset via a target mask; the
 ground-truth flow is never adjusted.
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import Estimator
+from .estimators import Estimator, _offsets
 from .scene import PointCloud, ScenePair, ValidationError
 
 AUTO = "auto"
@@ -160,6 +161,31 @@ def _result(pair: ScenePair, cfg: AttackConfig, adv_domain: np.ndarray) -> Attac
     return AttackResult(adv_pc1=_cloud(pair, cfg, adv_domain), delta=adv_domain - base)
 
 
+def _start(pairs: list[ScenePair], cfg: AttackConfig, seeds, mode: str):
+    """(row cuts, clean values, first iterate) of the masked domain of the
+    pairs' first clouds, stacked by rows.  Given seeds, one per pair, pair p's
+    rows add a draw seeded by seeds[p] on the masked axes, uniform in the eps
+    box or +-eps for mode "rademacher", then colours are clamped to [0, 1]
+    unless cfg.clamp_colors is off.  Later steps are elementwise: pair p's
+    rows take the values of an attack on pair p alone."""
+    for pair in pairs:
+        cfg.mask.check(pair)
+    parts = [_domain_values(pair, cfg)[2] for pair in pairs]
+    cuts = _offsets(parts)[1:-1]
+    base = np.concatenate(parts)
+    if seeds is None:
+        return cuts, base, base
+    if len(seeds) != len(pairs):
+        raise ValidationError(f"{len(seeds)} seeds for {len(pairs)} pairs: one per pair")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    noise = [cfg.eps * rng.choice([-1.0, 1.0], size=part.shape) if mode == "rademacher"
+             else rng.uniform(-cfg.eps, cfg.eps, part.shape) for rng, part in zip(rngs, parts)]
+    x = base + np.concatenate(noise) * cfg.mask.axis_row()
+    if cfg.mask.domain == "colors" and cfg.clamp_colors:
+        x = np.clip(x, 0.0, 1.0)
+    return cuts, base, x
+
+
 def fgsm_config(cfg: AttackConfig) -> AttackConfig:
     """The config FGSM runs: one step of size eps from the clean cloud, whatever
     cfg's iters, alpha and random_start."""
@@ -183,78 +209,47 @@ def pgd_sf(pairs: list[ScenePair], est: Estimator, cfg: AttackConfig,
     it with those settings.  The gradient (and any hard neighbor selection
     inside the estimator) is recomputed from the current iterates at every
     step, one forward and one backward pass over the batch each.  seeds[p]
-    (default 0) seeds pair p's random start.  Without a random start, step
-    0 differentiates the clean clouds; `clean`, the clean_pass result for
-    these pairs and this estimator, replaces that pass when given.  Only
-    the perturbed clouds are returned; callers score them with est.epes.
+    (default 0) seeds pair p's random start, a uniform draw whatever
+    cfg.random_mode says.  Without a random start, step 0 differentiates
+    the clean clouds; `clean`, the clean_pass result for these pairs and
+    this estimator, replaces that pass when given.  Only the perturbed
+    clouds are returned; callers score them with est.epes.
     """
-    for pair in pairs:
-        cfg.mask.check(pair)
     seeds = [0] * len(pairs) if seeds is None else seeds
     alpha = cfg.resolved_alpha()
     is_color = cfg.mask.domain == "colors"
-    clamp = is_color and cfg.clamp_colors
     axes = cfg.mask.axis_row()
-    # The pairs' values stacked by rows: every step is elementwise, so the
-    # rows of pair p take the values of an attack on pair p alone.
-    spans = _spans([pair.pc1.n_points for pair in pairs])
-    base = np.concatenate([_domain_values(pair, cfg)[2] for pair in pairs])
-
     # Positions track delta (projection is exact in delta space); colors
     # track the iterate itself so the [0,1] clamp composes with the box.
-    x = base.copy()
-    if cfg.random_start:
-        noise = np.concatenate([np.random.default_rng(seed).uniform(-cfg.eps, cfg.eps, (e - s, 3))
-                                for seed, (s, e) in zip(seeds, spans)])
-        x = x + noise * axes
-        if clamp:
-            x = np.clip(x, 0.0, 1.0)
+    cuts, base, x = _start(pairs, cfg, seeds if cfg.random_start else None, "uniform")
 
     for step in range(cfg.iters):
         if step == 0 and clean is not None and not cfg.random_start:
             grads = clean
         else:
-            grads = _passes(pairs, est, [_cloud(pair, cfg, x[s:e])
-                                         for pair, (s, e) in zip(pairs, spans)])
+            grads = _passes(pairs, est, [_cloud(pair, cfg, xp)
+                                         for pair, xp in zip(pairs, np.split(x, cuts))])
         # zero off the masked axes, so those entries never move
         grad = np.concatenate([g[2] if is_color else g[1] for g in grads]) * axes
         if is_color:
             x = np.clip(x + alpha * np.sign(grad), base - cfg.eps, base + cfg.eps)
-            if clamp:
+            if cfg.clamp_colors:
                 x = np.clip(x, 0.0, 1.0)
         else:
             x = base + np.clip((x - base) + alpha * np.sign(grad), -cfg.eps, cfg.eps)
-    return [_result(pair, cfg, x[s:e]) for pair, (s, e) in zip(pairs, spans)]
-
-
-def _spans(sizes: list[int]) -> list[tuple[int, int]]:
-    """The row ranges of blocks of the given sizes stacked in order."""
-    ends = np.cumsum(sizes).tolist()
-    return list(zip([0] + ends[:-1], ends))
+    return [_result(pair, cfg, adv) for pair, adv in zip(pairs, np.split(x, cuts))]
 
 
 def random_attack(pairs: list[ScenePair], cfg: AttackConfig, seeds) -> list[AttackResult]:
-    """Seeded random perturbation inside the eps box (uniform or +-eps),
-    pair p drawn from seeds[p].
+    """Seeded random perturbation inside the eps box, pair p drawn from
+    seeds[p]: PGD's random start (_start), uniform or +-eps as
+    cfg.random_mode says, where PGD's own start is always uniform.
 
     Runs no estimator: the pairs need no gt_flow, and callers score the
     perturbed clouds themselves.
     """
-    for pair in pairs:
-        cfg.mask.check(pair)
-    out = []
-    for pair, seed in zip(pairs, seeds):
-        base = _domain_values(pair, cfg)[2]
-        rng = np.random.default_rng(seed)
-        if cfg.random_mode == "rademacher":
-            noise = cfg.eps * rng.choice([-1.0, 1.0], size=base.shape)
-        else:
-            noise = rng.uniform(-cfg.eps, cfg.eps, size=base.shape)
-        adv = base + noise * cfg.mask.axis_row()
-        if cfg.mask.domain == "colors" and cfg.clamp_colors:
-            adv = np.clip(adv, 0.0, 1.0)
-        out.append(_result(pair, cfg, adv))
-    return out
+    cuts, _, x = _start(pairs, cfg, seeds, cfg.random_mode)
+    return [_result(pair, cfg, adv) for pair, adv in zip(pairs, np.split(x, cuts))]
 
 
 def check_feasibility(pair: ScenePair, cfg: AttackConfig, result: AttackResult,

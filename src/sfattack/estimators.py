@@ -37,7 +37,7 @@ class NumericError(ArithmeticError):
 
 
 class TrainingError(RuntimeError):
-    """Training aborted on a non-finite loss."""
+    """Training aborted on a non-finite loss or non-finite weights."""
 
 
 # -- loss -----------------------------------------------------------------
@@ -826,7 +826,10 @@ def train_tiny(dataset: list[ScenePair], epochs: int,
             batch = order[start:start + batch_size]
             pairs = [dataset[i] for i in batch]
             g = Graph()
-            w = [g.leaf(a) for a in arrays]
+            try:
+                w = [g.leaf(a) for a in arrays]
+            except ad.DomainError as exc:  # the previous step's update overflowed
+                raise TrainingError(f"non-finite weights at epoch {epoch}") from exc
             pos1 = [constant(p.pc1.positions) for p in pairs]
             col1 = [constant(p.pc1.colors) if with_color else None for p in pairs]
             pred = tiny_flow(pos1, col1, pairs, w, weights.k_neighbors,
@@ -840,7 +843,10 @@ def train_tiny(dataset: list[ScenePair], epochs: int,
                 arrays[i] = arrays[i] - lr * grads[wt.node_id]
             epoch_losses.append(value)
         trace.append(float(np.mean(epoch_losses)))
-    return weights.replace_arrays(arrays), trace
+    try:
+        return weights.replace_arrays(arrays), trace
+    except ValidationError as exc:  # the final step's update overflowed
+        raise TrainingError(f"non-finite weights at epoch {epochs - 1}") from exc
 
 
 # -- SFTN weight file -----------------------------------------------------

@@ -4,8 +4,9 @@ degradation aggregation, deterministic JSON/CSV reports, and SVG plots.
 run_experiment cuts a dataset, in order, into batches of at most
 BATCH_ROWS first-cloud rows and runs one task per batch and grid entry:
 each attack step scores the batch's pairs together, on one tape.  A task
-that fails is rerun pair by pair, so every record is the one its pair
-would get alone, bit for bit.
+that fails is rerun pair by pair, and so are a batch's baselines
+(pair_baselines), which hold a failing pair's exception in its slot: every
+record is the one its pair would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -174,23 +175,28 @@ def _rel(before: float, after: float) -> Optional[float]:
     return (after - before) / before
 
 
-def pair_baselines(pairs: list[ScenePair], est: Estimator, grid: list[GridEntry]):
-    """(baseline EPE, clean_pass result or None) of each pair for the entries
-    of `grid`.  When an entry steps from the clean cloud of some pair, the
-    pairs share one batched clean pass, and its losses are the baselines;
-    otherwise, or for a single pair's non-finite cloud (no graph leaf), the
-    EPE is forward-only.  A pair's results do not depend on the other
-    pairs; a batch with a non-finite cloud raises (see _baselines)."""
+def pair_baselines(pairs: list[ScenePair], est: Estimator, grid: list[GridEntry]) -> list:
+    """Each pair's (baseline EPE, clean_pass result or None) for the entries
+    of `grid`, or the exception its own baseline raised.  When an entry
+    steps from the clean cloud of some pair, the pairs share one batched
+    clean pass, and its losses are the baselines; otherwise, or for a single
+    pair's non-finite cloud (no graph leaf), the EPE is forward-only.  A
+    batch that fails numerically is rerun pair by pair."""
     for pair in pairs:
         if pair.gt_flow is None:
             raise ValidationError("attack requires a pair with gt_flow")
-    if any(entry.steps_from_clean(pair) for pair in pairs for entry in grid):
-        try:
-            return [(clean[0], clean) for clean in clean_pass(pairs, est)]
-        except ad.DomainError:
-            if len(pairs) > 1:
-                raise
-    return [(after, None) for after in est.epes([(pair, pair.pc1) for pair in pairs])]
+    try:
+        if any(entry.steps_from_clean(pair) for pair in pairs for entry in grid):
+            try:
+                return [(clean[0], clean) for clean in clean_pass(pairs, est)]
+            except ad.DomainError:
+                if len(pairs) > 1:
+                    raise
+        return [(after, None) for after in est.epes([(pair, pair.pc1) for pair in pairs])]
+    except (ArithmeticError, ad.DomainError) as exc:
+        if len(pairs) == 1:
+            return [exc]
+    return [b for pair in pairs for b in pair_baselines([pair], est, grid)]
 
 
 def attack_pairs(pairs: list[ScenePair], est: Estimator, entry: GridEntry,
@@ -223,24 +229,12 @@ def batches(dataset: list[ScenePair]) -> list[list[ScenePair]]:
     return out
 
 
-def _baselines(batch: list[ScenePair], est: Estimator, grid: list[GridEntry]) -> list:
-    """pair_baselines of a batch; where that fails numerically, each pair's
-    own.  A pair whose own fails gets the exception instead, and each of its
-    records carries it."""
-    try:
-        return pair_baselines(batch, est, grid)
-    except (ArithmeticError, ad.DomainError) as exc:
-        if len(batch) == 1:
-            return [exc]
-    return [b for pair in batch for b in _baselines([pair], est, grid)]
-
-
 def _run_cell(batch: list[ScenePair], est: Estimator, label: str, entry: GridEntry,
               base: list, seed: int, timing: bool) -> list[ExperimentRecord]:
     """The records of one grid entry over a batch of pairs: one task.
 
-    base[p] is batch[p]'s pair_baselines result, or the exception its
-    baseline raised, which each of the pair's records then carries.  When
+    base[p] is batch[p]'s pair_baselines result: its baseline, or the
+    exception that each of the pair's records then carries.  When
     the task raises, it is rerun pair by pair, so that only the pairs that
     fail get an error record and every other record keeps its bits.  With
     `timing`, a record's `ms` is the task's wall time divided by its pair
@@ -308,7 +302,7 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
     records = []
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for batch in batches(dataset):
-            base = _baselines(batch, est, grid)
+            base = pair_baselines(batch, est, grid)
 
             def run(entry, batch=batch, base=base):
                 return _run_cell(batch, est, label, entry, base, seed, timing)

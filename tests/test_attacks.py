@@ -215,6 +215,18 @@ class TestPgd:
         assert a.delta.tobytes() == b.delta.tobytes()
         assert a.delta.tobytes() != c.delta.tobytes()
 
+    def test_random_start_default_seeds(self):
+        # without seeds, pair p's start is drawn from seed 0, not skipped
+        pairs = [simple_pair(n=5, seed=30), simple_pair(n=7, seed=31)]
+        cfg = AttackConfig(eps=0.05, iters=2, alpha=0.001, random_start=True)
+        est = NegativeFlowEstimator()
+        default = pgd_sf(pairs, est, cfg)
+        zero = pgd_sf(pairs, est, cfg, seeds=[0, 0])
+        other = pgd_sf(pairs, est, cfg, seeds=[1, 1])
+        for d, z, o in zip(default, zero, other):
+            assert d.delta.tobytes() == z.delta.tobytes()
+            assert d.delta.tobytes() != o.delta.tobytes()
+
     def test_color_iterates_stay_clamped(self):
         pair = simple_pair(seed=10)
         cfg = AttackConfig(eps=0.6, iters=5, mask=TargetMask("colors"))
@@ -300,6 +312,45 @@ class TestRandomAttack:
         cfg = AttackConfig(eps=0.1, random_mode="rademacher")
         res = random_attack([pair], cfg, seeds=[0])[0]
         assert np.allclose(np.abs(res.delta), 0.1, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["uniform", "rademacher"])
+    @pytest.mark.parametrize("spec, clamp", [("all-dims", True), ("dim=1", True),
+                                             ("all-channels", True), ("channel=0,2", False)])
+    def test_batch_matches_pairs_alone(self, mode, spec, clamp):
+        # pair p's rows are drawn from seeds[p] alone, whatever the batch
+        pairs = [simple_pair(n=n, seed=40 + n) for n in (5, 9, 1)]
+        cfg = AttackConfig(eps=0.3, mask=make_target_mask(spec), clamp_colors=clamp,
+                           random_mode=mode)
+        seeds = [7, 8, 9]
+        batch = random_attack(pairs, cfg, seeds)
+        for pair, seed, res in zip(pairs, seeds, batch):
+            [alone] = random_attack([pair], cfg, [seed])
+            assert res.delta.tobytes() == alone.delta.tobytes()
+            assert res.adv_pc1.positions.tobytes() == alone.adv_pc1.positions.tobytes()
+            assert res.adv_pc1.colors.tobytes() == alone.adv_pc1.colors.tobytes()
+
+    @pytest.mark.parametrize("spec", ["all-channels", "channel=1"])
+    def test_is_pgd_random_start(self, spec):
+        # under a zero gradient a PGD colour step keeps its iterate, so one
+        # step from a random start is the uniform random draw, bit for bit
+        pairs = [simple_pair(n=4, seed=50), simple_pair(n=6, seed=51)]
+        cfg = AttackConfig(eps=0.3, mask=make_target_mask(spec), random_start=True,
+                           random_mode="rademacher")
+        pgd = pgd_sf(pairs, ZeroFlowEstimator(), cfg, seeds=[3, 4])
+        drawn = random_attack(pairs, replace(cfg, random_mode="uniform"), [3, 4])
+        for a, b in zip(pgd, drawn):
+            assert a.delta.tobytes() == b.delta.tobytes()
+
+    @pytest.mark.parametrize("n_seeds", [1, 4])
+    @pytest.mark.parametrize("attack", ["random", "pgd"])
+    def test_one_seed_per_pair(self, attack, n_seeds):
+        pairs = [simple_pair(seed=s) for s in (60, 61, 62)]
+        cfg = AttackConfig(eps=0.1, iters=2, random_start=True)
+        with pytest.raises(ValidationError, match=f"{n_seeds} seeds for 3 pairs"):
+            if attack == "random":
+                random_attack(pairs, cfg, [0] * n_seeds)
+            else:
+                pgd_sf(pairs, NegativeFlowEstimator(), cfg, seeds=[0] * n_seeds)
 
 
 class TestFeasibility:

@@ -242,6 +242,19 @@ class TestBackward:
         grads = ad.backward(ops.tmean(x))
         assert np.array_equal(grads[y.node_id], [0.0])
 
+    def test_skips_nodes_the_root_does_not_use(self):
+        g = ad.Graph()
+        x = g.leaf([1.0, 2.0])
+        ops.mul(x, x)  # on the tape before the root, but not below it
+        grads = ad.backward(ops.tmean(x))
+        assert np.array_equal(grads[x.node_id], [0.5, 0.5])
+
+    def test_operands_on_two_graphs(self):
+        x = ad.Graph().leaf([1.0])
+        y = ad.Graph().leaf([2.0])
+        with pytest.raises(ad.GraphError, match="operands belong to different graphs"):
+            ad.add(x, y)
+
 
 class TestTapeRelease:
     def test_backward_frees_the_tape_as_it_goes(self, monkeypatch, unrolled_sinkhorn):

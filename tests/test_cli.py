@@ -115,6 +115,25 @@ class TestAttack:
         assert "attack requires a pair with gt_flow" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("attack", ["fgsm", "pgd", "random"])
+    def test_far_point_exits_2(self, dataset_dir, tmp_path, capsys, attack):
+        # a first-cloud point at (5, 5, 5) underflows its OT Sinkhorn row, so
+        # the pair's baseline fails: a runtime error, not bad input
+        from dataclasses import replace
+        from sfattack.scene import PointCloud
+        pair = load_sfp((dataset_dir / "pair_0000.sfp").read_bytes())
+        pos = pair.pc1.positions.copy()
+        pos[0] = 5.0
+        far = tmp_path / "far.sfp"
+        far.write_bytes(save_sfp(replace(pair, pc1=PointCloud(pos))))
+        out = tmp_path / "adv.sfp"
+        code, _, err = run_cli(capsys, "attack", "--attack", attack, "--eps", "0.1",
+                               "--in", str(far), "--out", str(out))
+        assert code == 2
+        assert err == ("runtime error: NumericError: "
+                       "degenerate row marginal in sinkhorn (underflow)\n")
+        assert not out.exists()
+
     def test_bad_target_exits_1(self, dataset_dir, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "attack", "--attack", "fgsm", "--eps", "0.05",
@@ -383,6 +402,23 @@ class TestTrain:
             "--out", str(tmp_path / "adv.sfp"))
         assert code == 0
 
+
+    @pytest.mark.parametrize("lr, message", [
+        ("1e10", "non-finite weights at epoch 2"),
+        ("1e300", "non-finite loss at epoch 0"),
+    ], ids=["lr-1e10", "lr-1e300"])
+    def test_divergent_training_exits_2(self, tmp_path, capsys, lr, message):
+        data = tmp_path / "train"
+        code, _, _ = run_cli(capsys, "generate", "--scenes", "8", "--points", "16",
+                             "--out", str(data))
+        assert code == 0
+        model = tmp_path / "model.sftn"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(capsys, "train", "--data", str(data), "--lr", lr,
+                                   "--out", str(model))
+        assert code == 2
+        assert err == f"runtime error: TrainingError: {message}\n"
+        assert not model.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--epochs", "0"), ("--epochs", "-3"),

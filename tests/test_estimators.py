@@ -24,6 +24,7 @@ from sfattack.estimators import (
     HIDDEN,
     NumericError,
     OTEstimator,
+    TrainingError,
     TinyNetEstimator,
     TinyNetWeights,
     dense,
@@ -584,6 +585,18 @@ class TestTinyNet:
         with pytest.raises(ValidationError):
             TinyNetEstimator(w).estimate(pair)
 
+    def test_color_weights_require_first_cloud_colors(self):
+        # the second cloud has colours, the first has none
+        w = init_weights(6, seed=1)
+        pair = make_pair(5, MotionSpec(), with_color=True, seed=3)
+        plain = replace(pair, pc1=PointCloud(pair.pc1.positions))
+        with pytest.raises(ValidationError, match="weights expect colors but the pair has none"):
+            TinyNetEstimator(w).estimate(plain)
+
+    def test_k_neighbors_at_least_one(self):
+        with pytest.raises(ValidationError, match="k_neighbors must be >= 1"):
+            init_weights(3, seed=0, k_neighbors=0)
+
     def test_weight_shape_validation(self):
         w = init_weights(3, seed=0)
         with pytest.raises(ValidationError):
@@ -1042,6 +1055,24 @@ class TestTraining:
         stripped = ScenePair(pair.pc1, pair.pc2, None, pair.id)
         with pytest.raises(ValidationError):
             train_tiny([stripped], epochs=1, lr=0.1, seed=0)
+
+    def test_empty_training_set(self):
+        with pytest.raises(ValidationError, match="empty training set"):
+            train_tiny([], epochs=1, lr=0.1, seed=0)
+
+    @pytest.mark.parametrize("n_pairs, epochs, lr, message, cause", [
+        # the weights overflow to inf, which the next step's leaves reject
+        (8, 30, 1e10, "non-finite weights at epoch 2", ad.DomainError),
+        (8, 30, 1e300, "non-finite loss at epoch 0", None),
+        # the final step's update overflows: no later step reads it
+        (4, 2, 1e150, "non-finite weights at epoch 1", ValidationError),
+    ], ids=["lr-1e10", "lr-1e300", "last-step"])
+    def test_divergence_raises_training_error(self, n_pairs, epochs, lr, message, cause):
+        data = make_dataset(n_pairs, DatasetSpec(n_points=16), seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=f"^{message}$") as info:
+                train_tiny(data, epochs=epochs, lr=lr, seed=0)
+        assert type(info.value.__cause__) is (cause or type(None))
 
     @staticmethod
     def _case(name):

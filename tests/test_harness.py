@@ -328,6 +328,31 @@ class TestRunExperiment:
             [repr(r) for r in alone.records]
         assert report.aggregates == alone.aggregates
 
+    @pytest.mark.parametrize("grid", [SIX_CELL_GRID, [{"attack": "random", "eps": 0.1}]],
+                             ids=["clean-pass", "forward-only"])
+    def test_pair_baselines_hold_the_failing_pair_exception(self, small_dataset, grid):
+        # the batch fails, so each pair's baseline is its own: the far
+        # pair's slot holds its exception, each other slot its own result
+        from dataclasses import replace
+        from sfattack.harness import pair_baselines
+        from sfattack.scene import PointCloud
+        pos = small_dataset[1].pc1.positions.copy()
+        pos[0] = 5.0
+        bad = replace(small_dataset[1], pc1=PointCloud(pos), id="far")
+        batch = [small_dataset[0], bad, small_dataset[2]]
+        grid = [grid_entry_from_dict(e) for e in grid]
+        est = OTEstimator(sinkhorn_iters=8)
+        got = pair_baselines(batch, est, grid)
+        assert isinstance(got[1], estimators.NumericError)
+        assert str(got[1]) == "degenerate row marginal in sinkhorn (underflow)"
+        for pair, base in zip(batch[::2], got[::2]):
+            [alone] = pair_baselines([pair], est, grid)
+            assert repr(base[0]) == repr(alone[0])
+            assert (base[1] is None) == (alone[1] is None) == (len(grid) == 1)
+            if base[1] is not None:
+                assert [None if g is None else g.tobytes() for g in base[1][1:]] == \
+                    [None if g is None else g.tobytes() for g in alone[1][1:]]
+
     def test_failed_baseline_report_is_strict_json(self, small_dataset, tmp_path):
         # the far pair's records have no EPE: null, not NaN, which no strict
         # JSON parser reads; the aggregates are those of the other pairs
