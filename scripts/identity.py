@@ -15,7 +15,10 @@ library and writes what it produces under DIR:
   points, 2,560 first-cloud rows, more than one batch of pairs holds, so
   that the batch boundaries are compared too; and of OT on 3 pairs, one of
   which has a first-cloud point at (5, 5, 5), so that its baseline fails
-  and the error records it gets are compared too; and (`draws_*`) of OT
+  and the error records it gets are compared too; and (`far_batches_*`) of
+  OT at `--jobs` 1 and 2 on 12 pairs of 128 points, 3 batches, whose pair 5
+  has such a point, so that a batch is rerun pair by pair between two that
+  are not; and (`draws_*`) of OT
   and the coloured tiny net on the coloured rigid pairs, for a grid whose
   every attack starts from a seeded draw (random baselines, uniform and
   +-eps, unclamped on one channel; PGD with a random start on the colour
@@ -201,6 +204,9 @@ def write_tree(out: Path) -> None:
     _run("generate_far", ["generate", "--scenes", 3, "--points", 64, "--seed", 13,
                           "--out", "data/far"])
     _move_far_off("data/far/pair_0001.sfp")
+    _run("generate_far_batches", ["generate", "--scenes", 12, "--points", 128,
+                                  "--seed", 17, "--out", "data/far_batches"])
+    _move_far_off("data/far_batches/pair_0005.sfp")
 
     runs = [("directional_ot", "ot", "directional", "directional")]
     for motion in ("rigid", "deform"):
@@ -208,6 +214,7 @@ def write_tree(out: Path) -> None:
         runs.append((f"{motion}_tiny", "tiny:models/tiny_color.sftn", motion, "color"))
     runs.append(("batches_tiny", "tiny:models/tiny_plain_ragged.sftn", "batches",
                  "directional"))
+    runs.append(("far_batches_ot", "ot", "far_batches", "directional"))
     for name, model, dataset, grid in runs:
         for jobs in (1, 2):
             stem = f"reports/{name}_jobs{jobs}"

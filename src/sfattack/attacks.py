@@ -121,14 +121,6 @@ class AttackResult:
     delta: np.ndarray
 
 
-def _passes(pairs: list[ScenePair], est: Estimator, clouds: list[PointCloud]):
-    """est.losses_and_grads of each pair at its cloud; see clean_pass."""
-    for pair in pairs:
-        if pair.gt_flow is None:
-            raise ValidationError("attack requires a pair with gt_flow")
-    return est.losses_and_grads(list(zip(pairs, clouds)))
-
-
 def clean_pass(pairs: list[ScenePair], est: Estimator) -> list[tuple]:
     """(EPE, position gradient, colour gradient) of each pair at its
     unperturbed first cloud, from one forward and one backward pass
@@ -140,7 +132,7 @@ def clean_pass(pairs: list[ScenePair], est: Estimator) -> list[tuple]:
     differentiate this same point, so a caller that runs several of them on
     the pairs can run it once and hand it to each (fgsm_sf/pgd_sf `clean`).
     """
-    return _passes(pairs, est, [pair.pc1 for pair in pairs])
+    return est.losses_and_grads([(pair, pair.pc1) for pair in pairs])
 
 
 def _domain_values(pair: ScenePair, cfg: AttackConfig):
@@ -227,8 +219,8 @@ def pgd_sf(pairs: list[ScenePair], est: Estimator, cfg: AttackConfig,
         if step == 0 and clean is not None and not cfg.random_start:
             grads = clean
         else:
-            grads = _passes(pairs, est, [_cloud(pair, cfg, xp)
-                                         for pair, xp in zip(pairs, np.split(x, cuts))])
+            grads = est.losses_and_grads([(pair, _cloud(pair, cfg, xp))
+                                          for pair, xp in zip(pairs, np.split(x, cuts))])
         # zero off the masked axes, so those entries never move
         grad = np.concatenate([g[2] if is_color else g[1] for g in grads]) * axes
         if is_color:

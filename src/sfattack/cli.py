@@ -123,10 +123,7 @@ def _cmd_attack(args) -> int:
                        mask=make_target_mask(args.target),
                        random_start=args.random_start)
     entry = GridEntry(args.attack, cfg)
-    [base] = pair_baselines([pair], est, [entry])
-    if isinstance(base, Exception):
-        raise base
-    before, clean = base
+    [(before, clean)] = pair_baselines([pair], est, [entry])
     [(adv_pair, after)] = attack_pairs([pair], est, entry, [args.seed],
                                        None if clean is None else [clean])
     Path(args.out).write_bytes(save_sfp(adv_pair))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -312,6 +313,8 @@ class Estimator:
         root and each pair's EPE."""
         pairs = [pair for pair, _ in items]
         for pair, cloud in items:  # pair_epes sees only the batch's row total
+            if pair.gt_flow is None:
+                raise ValidationError("attack requires a pair with gt_flow")
             if cloud.n_points != pair.gt_flow.n_points:
                 raise ad.ShapeError(f"flow shapes differ: {cloud.n_points} points "
                                     f"vs {pair.gt_flow.n_points} flow vectors")
@@ -486,11 +489,10 @@ class TinyNetEstimator(Estimator):
 
     def __init__(self, weights: TinyNetWeights):
         self.weights = weights
-        # (pc2 of each pair, w1, b1, w2, b2, encoding): the last batch of
-        # second clouds encoded.  Key and value are one tuple, so a thread
-        # reads a matching pair or none, and holding each pc2 keeps its id
-        # from being reused.
-        self._e2_memo = None
+        # per thread, .last = (pc2 of each pair, w1, b1, w2, b2, encoding):
+        # the last batch of second clouds that thread encoded.  Holding each
+        # pc2 keeps its id from being reused.
+        self._e2_memo = threading.local()
 
     def flow_tensor(self, pos1, col1, pair):
         return self._flows([pos1], [col1], [pair])
@@ -505,12 +507,12 @@ class TinyNetEstimator(Estimator):
         stacked in pair order.  A batch's passes all share its second clouds
         and the weights, so they are encoded once per batch."""
         key = (*(pair.pc2 for pair in pairs), *(t.data for t in w[:4]))
-        memo = self._e2_memo
+        memo = getattr(self._e2_memo, "last", None)
         if (memo is None or len(memo) != len(key) + 1
                 or any(a is not b for a, b in zip(memo, key))):
             feats = [second_features(p, self.weights.in_dim == 6) for p in pairs]
             memo = (*key, encode(ad.stack_rows(feats), w, _offsets(feats)))
-            self._e2_memo = memo
+            self._e2_memo.last = memo
         return memo[-1]
 
     def _digest_key(self):
@@ -844,9 +846,13 @@ def train_tiny(dataset: list[ScenePair], epochs: int,
             epoch_losses.append(value)
         trace.append(float(np.mean(epoch_losses)))
     try:
-        return weights.replace_arrays(arrays), trace
+        weights = weights.replace_arrays(arrays)
     except ValidationError as exc:  # the final step's update overflowed
         raise TrainingError(f"non-finite weights at epoch {epochs - 1}") from exc
+    with np.errstate(over="ignore"):  # save_weights writes float32
+        if not all(np.isfinite(a.astype(np.float32)).all() for a in arrays):
+            raise TrainingError(f"weights beyond float32's range at epoch {epochs - 1}")
+    return weights, trace
 
 
 # -- SFTN weight file -----------------------------------------------------

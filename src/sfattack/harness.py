@@ -2,11 +2,12 @@
 degradation aggregation, deterministic JSON/CSV reports, and SVG plots.
 
 run_experiment cuts a dataset, in order, into batches of at most
-BATCH_ROWS first-cloud rows and runs one task per batch and grid entry:
-each attack step scores the batch's pairs together, on one tape.  A task
-that fails is rerun pair by pair, and so are a batch's baselines
-(pair_baselines), which hold a failing pair's exception in its slot: every
-record is the one its pair would get alone, bit for bit.
+BATCH_ROWS first-cloud rows.  A batch is one job: its baselines
+(pair_baselines), then one task per grid entry, each attack step scoring
+the batch's pairs together, on one tape; `jobs` threads share out the
+batches.  pair_baselines raises when the batch fails, and a batch whose
+baselines fail numerically, or a task that fails, is rerun pair by pair:
+every record is the one its pair would get alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -177,26 +178,17 @@ def _rel(before: float, after: float) -> Optional[float]:
 
 def pair_baselines(pairs: list[ScenePair], est: Estimator, grid: list[GridEntry]) -> list:
     """Each pair's (baseline EPE, clean_pass result or None) for the entries
-    of `grid`, or the exception its own baseline raised.  When an entry
-    steps from the clean cloud of some pair, the pairs share one batched
-    clean pass, and its losses are the baselines; otherwise, or for a single
-    pair's non-finite cloud (no graph leaf), the EPE is forward-only.  A
-    batch that fails numerically is rerun pair by pair."""
-    for pair in pairs:
-        if pair.gt_flow is None:
-            raise ValidationError("attack requires a pair with gt_flow")
-    try:
-        if any(entry.steps_from_clean(pair) for pair in pairs for entry in grid):
-            try:
-                return [(clean[0], clean) for clean in clean_pass(pairs, est)]
-            except ad.DomainError:
-                if len(pairs) > 1:
-                    raise
-        return [(after, None) for after in est.epes([(pair, pair.pc1) for pair in pairs])]
-    except (ArithmeticError, ad.DomainError) as exc:
-        if len(pairs) == 1:
-            return [exc]
-    return [b for pair in pairs for b in pair_baselines([pair], est, grid)]
+    of `grid`.  When an entry steps from the clean cloud of some pair, the
+    pairs share one batched clean pass, and its losses are the baselines;
+    otherwise, or for a single pair's non-finite cloud (no graph leaf), the
+    EPE is forward-only.  Raises what the batch's passes raise."""
+    if any(entry.steps_from_clean(pair) for pair in pairs for entry in grid):
+        try:
+            return [(clean[0], clean) for clean in clean_pass(pairs, est)]
+        except ad.DomainError:
+            if len(pairs) > 1:
+                raise
+    return [(after, None) for after in est.epes([(pair, pair.pc1) for pair in pairs])]
 
 
 def attack_pairs(pairs: list[ScenePair], est: Estimator, entry: GridEntry,
@@ -233,10 +225,10 @@ def _run_cell(batch: list[ScenePair], est: Estimator, label: str, entry: GridEnt
               base: list, seed: int, timing: bool) -> list[ExperimentRecord]:
     """The records of one grid entry over a batch of pairs: one task.
 
-    base[p] is batch[p]'s pair_baselines result: its baseline, or the
-    exception that each of the pair's records then carries.  When
-    the task raises, it is rerun pair by pair, so that only the pairs that
-    fail get an error record and every other record keeps its bits.  With
+    base is the batch's pair_baselines, or [exc] for a single pair whose
+    baseline raised exc, which each of its records then carries.  When the
+    task raises, it is rerun pair by pair, so that only the pairs that fail
+    get an error record and every other record keeps its bits.  With
     `timing`, a record's `ms` is the task's wall time divided by its pair
     count.
     """
@@ -266,12 +258,28 @@ def _run_cell(batch: list[ScenePair], est: Estimator, label: str, entry: GridEnt
     return records
 
 
+def _run_batch(batch: list[ScenePair], est: Estimator, label: str, grid: list[GridEntry],
+               seed: int, timing: bool) -> list[ExperimentRecord]:
+    """The records of a batch of pairs: one job, on one thread.  Its
+    baselines, then one task per grid entry (_run_cell).  A batch whose
+    baselines fail numerically is run pair by pair, and a single pair's
+    exception goes to its tasks as its baselines, [exc]."""
+    try:
+        base = pair_baselines(batch, est, grid)
+    except (ArithmeticError, ad.DomainError) as exc:
+        if len(batch) > 1:
+            return [rec for pair in batch
+                    for rec in _run_batch([pair], est, label, grid, seed, timing)]
+        base = [exc]
+    return [rec for entry in grid
+            for rec in _run_cell(batch, est, label, entry, base, seed, timing)]
+
+
 def _afters(batch, est, entry, base, seeds) -> list[float]:
     """The attacked EPE of each pair of a task; raises what a pair's
     baseline raised."""
-    for b in base:
-        if isinstance(b, Exception):
-            raise b
+    if isinstance(base[0], Exception):
+        raise base[0]
     if entry.attack == "none":
         return [before for before, _ in base]
     cleans = [clean for _, clean in base]
@@ -285,10 +293,10 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
                    jobs: int = 1, timing: bool = False) -> Report:
     """Every pair x grid cell; aggregates are order-independent.
 
-    The pairs run in batches (see batches), one task per batch and grid
-    entry.  Each batch's baselines, with the clean pass its tasks share,
-    are computed before any of its tasks starts, so records do not depend
-    on `jobs`; the tasks of one batch then run on `jobs` threads.
+    The pairs run in batches (see batches).  Each batch is one job on one
+    thread: its baselines, with the clean pass its tasks share, then one
+    task per grid entry.  `jobs` threads run the batches, and every record
+    is its pair's own, so records do not depend on `jobs`.
     """
     if not grid:
         raise ValidationError("grid must be nonempty")
@@ -299,16 +307,10 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
             raise ValidationError(f"pair {pair.id} lacks gt_flow")
 
     label = f"{est.tag}:{est.config_digest()}"  # hashes the tiny net's weights
-    records = []
     with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for batch in batches(dataset):
-            base = pair_baselines(batch, est, grid)
-
-            def run(entry, batch=batch, base=base):
-                return _run_cell(batch, est, label, entry, base, seed, timing)
-
-            for part in (pool.map(run, grid) if pool else map(run, grid)):
-                records += part
+        parts = (pool.map if pool else map)(
+            lambda batch: _run_batch(batch, est, label, grid, seed, timing), batches(dataset))
+        records = [rec for part in parts for rec in part]
 
     records.sort(key=lambda r: (r.pair_id, r.attack, r.mask, r.seed))
     return Report(records=records, aggregates=aggregate(records),

@@ -406,7 +406,8 @@ class TestTrain:
     @pytest.mark.parametrize("lr, message", [
         ("1e10", "non-finite weights at epoch 2"),
         ("1e300", "non-finite loss at epoch 0"),
-    ], ids=["lr-1e10", "lr-1e300"])
+        ("1e5", "weights beyond float32's range at epoch 29"),
+    ], ids=["lr-1e10", "lr-1e300", "lr-1e5"])
     def test_divergent_training_exits_2(self, tmp_path, capsys, lr, message):
         data = tmp_path / "train"
         code, _, _ = run_cli(capsys, "generate", "--scenes", "8", "--points", "16",

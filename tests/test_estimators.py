@@ -551,6 +551,17 @@ class TestOTEstimator:
             OTEstimator(**kwargs)
 
 
+@pytest.mark.parametrize("method", ["epes", "losses_and_grads"])
+@pytest.mark.parametrize("kind", ["ot", "tiny"])
+def test_scoring_requires_gt_flow(kind, method):
+    # every score is against the ground truth, so a pair without it is bad input
+    pair = make_pair(8, MotionSpec(angle=0.1), with_color=False, seed=0)
+    bare = ScenePair(pair.pc1, pair.pc2, None, "bare")
+    est = OTEstimator() if kind == "ot" else TinyNetEstimator(init_weights(3, seed=0))
+    with pytest.raises(ValidationError, match="^attack requires a pair with gt_flow$"):
+        getattr(est, method)([(pair, pair.pc1), (bare, bare.pc1)])
+
+
 class TestTinyNet:
     def test_knn_indices(self):
         q = np.array([[0.0, 0.0, 0.0]])
@@ -1066,7 +1077,9 @@ class TestTraining:
         (8, 30, 1e300, "non-finite loss at epoch 0", None),
         # the final step's update overflows: no later step reads it
         (4, 2, 1e150, "non-finite weights at epoch 1", ValidationError),
-    ], ids=["lr-1e10", "lr-1e300", "last-step"])
+        # finite in float64, but beyond the float32 the weight file stores
+        (8, 30, 1e5, "weights beyond float32's range at epoch 29", None),
+    ], ids=["lr-1e10", "lr-1e300", "last-step", "lr-1e5"])
     def test_divergence_raises_training_error(self, n_pairs, epochs, lr, message, cause):
         data = make_dataset(n_pairs, DatasetSpec(n_points=16), seed=0)
         with np.errstate(over="ignore", invalid="ignore"):

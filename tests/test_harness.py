@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sfattack import autodiff as ad
-from sfattack import estimators
+from sfattack import estimators, harness
 from sfattack.attacks import AttackConfig, clean_pass, make_target_mask
 from sfattack.estimators import OTEstimator, TinyNetEstimator, epe, init_weights
 from sfattack.harness import (
@@ -306,52 +306,77 @@ class TestRunExperiment:
         assert [repr(r) for r in report.records if r.pair_id != "nan"] == \
             [repr(r) for r in alone.records]
 
-    def test_failed_baseline_keeps_other_records(self, small_dataset):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_failed_baseline_keeps_other_records(self, monkeypatch, jobs):
         # one first-cloud point far off underflows the OT pair's Sinkhorn row:
         # its baseline fails, so each of its records carries the error, and
-        # the other pairs' records are those of a run without it
+        # the other pairs' records are those of a run without it.  The far
+        # pair sits in the middle of the middle one of three batches.
         from dataclasses import replace
         from sfattack.scene import PointCloud
-        pos = small_dataset[1].pc1.positions.copy()
+        data = make_dataset(9, DatasetSpec(n_points=24, kind="rigid", angle_range=(0.0, 0.3),
+                                           translation_scale=0.2), seed=21)
+        pos = data[4].pc1.positions.copy()
         pos[0] = 5.0
-        bad = replace(small_dataset[1], pc1=PointCloud(pos), id="far")
-        good = [small_dataset[0], small_dataset[2]]
+        data[4] = replace(data[4], pc1=PointCloud(pos), id="far")
+        monkeypatch.setattr(harness, "BATCH_ROWS", 72)
+        cut = [[p.id for p in b] for b in batches(data)]
+        assert len(cut) == 3 and cut[1][1] == "far"
         grid = [grid_entry_from_dict(e) for e in SIX_CELL_GRID]
         est = OTEstimator(sinkhorn_iters=8)
-        report = run_experiment([good[0], bad, good[1]], est, grid, seed=0, jobs=2)
+        report = run_experiment(data, est, grid, seed=0, jobs=jobs)
         far = [r for r in report.records if r.pair_id == "far"]
         assert [r.error for r in far] == [
             "NumericError: degenerate row marginal in sinkhorn (underflow)"] * 6
         assert all(np.isnan(r.epe_before) and r.rel is None for r in far)
-        alone = run_experiment(good, est, grid, seed=0)
+        alone = run_experiment(data[:4] + data[5:], est, grid, seed=0)
         assert [repr(r) for r in report.records if r.pair_id != "far"] == \
             [repr(r) for r in alone.records]
         assert report.aggregates == alone.aggregates
 
     @pytest.mark.parametrize("grid", [SIX_CELL_GRID, [{"attack": "random", "eps": 0.1}]],
                              ids=["clean-pass", "forward-only"])
-    def test_pair_baselines_hold_the_failing_pair_exception(self, small_dataset, grid):
-        # the batch fails, so each pair's baseline is its own: the far
-        # pair's slot holds its exception, each other slot its own result
+    def test_pair_baselines_raise_the_batch_error(self, small_dataset, grid):
+        # a batch with the far pair raises its error; without it, each
+        # pair's slot is that pair's own baseline, bit for bit
         from dataclasses import replace
         from sfattack.harness import pair_baselines
         from sfattack.scene import PointCloud
         pos = small_dataset[1].pc1.positions.copy()
         pos[0] = 5.0
         bad = replace(small_dataset[1], pc1=PointCloud(pos), id="far")
-        batch = [small_dataset[0], bad, small_dataset[2]]
+        good = [small_dataset[0], small_dataset[2]]
         grid = [grid_entry_from_dict(e) for e in grid]
         est = OTEstimator(sinkhorn_iters=8)
-        got = pair_baselines(batch, est, grid)
-        assert isinstance(got[1], estimators.NumericError)
-        assert str(got[1]) == "degenerate row marginal in sinkhorn (underflow)"
-        for pair, base in zip(batch[::2], got[::2]):
+        with pytest.raises(estimators.NumericError,
+                           match=r"^degenerate row marginal in sinkhorn \(underflow\)$"):
+            pair_baselines([good[0], bad, good[1]], est, grid)
+        for pair, base in zip(good, pair_baselines(good, est, grid)):
             [alone] = pair_baselines([pair], est, grid)
             assert repr(base[0]) == repr(alone[0])
             assert (base[1] is None) == (alone[1] is None) == (len(grid) == 1)
             if base[1] is not None:
                 assert [None if g is None else g.tobytes() for g in base[1][1:]] == \
                     [None if g is None else g.tobytes() for g in alone[1][1:]]
+
+    def test_batch_runs_on_one_thread(self, small_dataset, small_grid, monkeypatch):
+        # a batch's baselines and tasks are one job: each task runs on the
+        # thread that computed its batch's baselines
+        import threading
+        monkeypatch.setattr(harness, "BATCH_ROWS", 48)
+        assert len(batches(small_dataset)) == 2
+        calls = []
+        for name in ("pair_baselines", "_run_cell"):
+            def wrapped(batch, *args, real=getattr(harness, name), name=name):
+                calls.append((name, tuple(p.id for p in batch), threading.get_ident()))
+                return real(batch, *args)
+            monkeypatch.setattr(harness, name, wrapped)
+        run_experiment(small_dataset, OTEstimator(sinkhorn_iters=8), small_grid,
+                       seed=0, jobs=2)
+        threads = {ids: t for name, ids, t in calls if name == "pair_baselines"}
+        cells = [(ids, t) for name, ids, t in calls if name == "_run_cell"]
+        assert len(threads) == 2 and len(cells) == 2 * len(small_grid)
+        assert all(threads[ids] == t for ids, t in cells)
 
     def test_failed_baseline_report_is_strict_json(self, small_dataset, tmp_path):
         # the far pair's records have no EPE: null, not NaN, which no strict
