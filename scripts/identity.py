@@ -23,6 +23,9 @@ library and writes what it produces under DIR:
   every attack starts from a seeded draw (random baselines, uniform and
   +-eps, unclamped on one channel; PGD with a random start on the colour
   channels and on one dimension), so that its baselines are forward-only;
+  and (`sweep_ot`) of OT on the coloured rigid pairs, for a grid of FGSM
+  and PGD cells that differ in eps, iters or alpha alone, so that each
+  is its own aggregate row;
 - `models/`: the SFTN weights `train` writes: a coloured model trained on
   12 pairs (3 full minibatches), and a plain one on 10 pairs whose second
   clouds lost a fifth of their points (so a minibatch of 2 ends each
@@ -110,6 +113,15 @@ DRAW_GRID = [
     {"attack": "pgd", "eps": 0.1, "iters": 3, "random_start": True, "target": "dim=2"},
 ]
 
+# cells that differ in budget alone: each is its own aggregate row
+SWEEP_GRID = [
+    {"attack": "fgsm", "eps": 0.01},
+    {"attack": "fgsm", "eps": 0.2},
+    {"attack": "pgd", "eps": 0.05, "iters": 2},
+    {"attack": "pgd", "eps": 0.05, "iters": 5},
+    {"attack": "pgd", "eps": 0.05, "iters": 2, "alpha": 0.005},
+]
+
 
 def _import_sfattack(src: Path):
     sys.path.insert(0, str(src))
@@ -184,7 +196,7 @@ def write_tree(out: Path) -> None:
                 "grads"):
         Path(sub).mkdir()
     for name, grid in (("directional", DIRECTIONAL_GRID), ("color", COLOR_GRID),
-                       ("draw", DRAW_GRID)):
+                       ("draw", DRAW_GRID), ("sweep", SWEEP_GRID)):
         Path(f"{name}_grid.json").write_text(json.dumps(grid))
 
     _run("generate_directional", ["generate", "--scenes", 64, "--points", 256,
@@ -227,6 +239,9 @@ def write_tree(out: Path) -> None:
         _run(f"eval_draws_{name}", ["eval", "--model", model, "--data", "data/rigid",
                                     "--grid", "draw_grid.json", "--seed", 3,
                                     "--report", f"{stem}.json", "--csv", f"{stem}.csv"])
+    _run("eval_sweep_ot", ["eval", "--data", "data/rigid", "--grid", "sweep_grid.json",
+                           "--seed", 3, "--report", "reports/sweep_ot.json",
+                           "--csv", "reports/sweep_ot.csv"])
     _run("eval_far_ot", ["eval", "--data", "data/far", "--grid", "directional_grid.json",
                          "--seed", 3, "--report", "reports/far_ot.json",
                          "--csv", "reports/far_ot.csv"])

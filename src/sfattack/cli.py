@@ -203,8 +203,8 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, FormatError, ValueError,
-            FileNotFoundError, IsADirectoryError) as exc:  # bad input
+    except (ValidationError, FormatError, ValueError, FileNotFoundError,
+            FileExistsError, IsADirectoryError, NotADirectoryError) as exc:  # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

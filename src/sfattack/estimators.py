@@ -540,7 +540,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool,
     for x's gradient, x for w's.
     """
     spans = _spans(bounds, x.shape[0])
-    value = _matmul_by_segment(x.data, w.data, spans)
+    value = _rows(_by_segment(lambda xs: xs @ w.data, spans, x.data))
     value += b.data
     if relu:
         mask = value > 0.0
@@ -556,9 +556,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool,
     def vjp(g):
         if relu:
             g = g * mask
-        gx = None if keep_w is None else _matmul_by_segment(g, keep_w.T, spans)
-        gw = None if keep_x is None else _weight_grad(keep_x, g, spans)
-        gb = _col_sums(g, spans) if b_tracked else None
+        gx = None if keep_w is None else _rows(_by_segment(lambda gs: gs @ keep_w.T, spans, g))
+        gw = None if keep_x is None else _sum_last_first(
+            _by_segment(lambda xs, gs: xs.swapaxes(-1, -2) @ gs, spans, keep_x, g))
+        gb = _sum_last_first(_by_segment(
+            lambda gs: gs.sum(axis=-2, keepdims=True), spans, g)) if b_tracked else None
         return gx, gw, gb
 
     return ad._emit("dense", (x, w, b), value, vjp)
@@ -571,41 +573,22 @@ def _spans(bounds: Optional[list[int]], rows: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _matmul_by_segment(a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
-    """a @ b with one BLAS call per row segment of a."""
-    # segments of one height are one 3-D operand, which numpy multiplies
-    # with the BLAS calls the loop makes, without the loop's per-call cost
-    if _even(spans):
-        return np.matmul(_stack(a, spans), b).reshape(a.shape[0], b.shape[1])
-    out = np.empty((a.shape[0], b.shape[1]))
-    for s, e in spans:
-        np.matmul(a[s:e], b, out=out[s:e])
-    return out
+def _by_segment(f, spans, *arrays):
+    """f of each row segment of the 2-D `arrays`, f acting on the last two
+    axes: one call on the arrays' 3-D stacks (segments first) when the
+    segments are all of one height, else a list of one call per segment.
+    numpy runs a stacked matmul or sum as the loop's calls, one segment
+    at a time, without the loop's per-call cost."""
+    if len({e - s for s, e in spans}) == 1:
+        return f(*[a.reshape(len(spans), -1, a.shape[1]) for a in arrays])
+    return [f(*[a[s:e] for a in arrays]) for s, e in spans]
 
 
-def _weight_grad(x: np.ndarray, g: np.ndarray, spans) -> np.ndarray:
-    """The sum of x_s.T @ g_s over the row segments, the last first."""
-    if _even(spans):
-        return _sum_last_first(np.matmul(_stack(x, spans).transpose(0, 2, 1),
-                                         _stack(g, spans)))
-    return _sum_last_first([x[s:e].T @ g[s:e] for s, e in spans])
-
-
-def _col_sums(g: np.ndarray, spans) -> np.ndarray:
-    """The sum of g_s's column sums over the row segments, the last first."""
-    if _even(spans):
-        return _sum_last_first(_stack(g, spans).sum(axis=1, keepdims=True))
-    return _sum_last_first([g[s:e].sum(axis=0, keepdims=True) for s, e in spans])
-
-
-def _even(spans) -> bool:
-    """Whether the row segments are all of one height."""
-    return len({e - s for s, e in spans}) == 1
-
-
-def _stack(a: np.ndarray, spans) -> np.ndarray:
-    """Equal row segments of a as one 3-D array."""
-    return a.reshape(len(spans), -1, a.shape[1])
+def _rows(parts) -> np.ndarray:
+    """_by_segment's per-segment row blocks as one matrix."""
+    if isinstance(parts, np.ndarray):
+        return parts.reshape(-1, parts.shape[-1])
+    return np.concatenate(parts)
 
 
 def _sum_last_first(terms) -> np.ndarray:

@@ -324,12 +324,16 @@ def run_experiment(dataset: list[ScenePair], est: Estimator,
 
 
 def aggregate(records: list[ExperimentRecord]) -> list[dict]:
-    """Mean of per-pair EPEs per (estimator, attack, mask) group."""
+    """Mean of per-pair EPEs per grid cell: per (estimator, attack, mask,
+    eps, iters, alpha) group, so that cells differing in budget alone are
+    not merged.  Rows are sorted by that key; each names its estimator,
+    attack and mask."""
     groups: dict[tuple, list[ExperimentRecord]] = {}
     for r in records:
         if r.error is not None:
             continue
-        groups.setdefault((r.estimator, r.attack, r.mask), []).append(r)
+        key = (r.estimator, r.attack, r.mask, r.eps, r.iters, r.alpha)
+        groups.setdefault(key, []).append(r)
     out = []
     for key in sorted(groups):
         recs = groups[key]

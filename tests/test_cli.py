@@ -60,6 +60,16 @@ class TestGenerate:
         assert "noise_sigma" in err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("kind", ["file", "through-file"])
+    def test_out_not_a_directory_exits_1(self, tmp_path, capsys, kind):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" if kind == "file" else tmp_path / "file" / "d"
+        code, _, err = run_cli(capsys, "generate", "--scenes", "1", "--points", "8",
+                               "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and str(out) in err
+        assert (tmp_path / "file").read_text() == ""
+
 
 class TestAttack:
     def test_fgsm_roundtrip(self, dataset_dir, tmp_path, capsys):
@@ -159,9 +169,11 @@ class TestAttack:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--model", "--in"])
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "through-file"])
     def test_unreadable_input_exits_1(self, dataset_dir, tmp_path, capsys, flag, kind):
-        bad = tmp_path / "missing.bin" if kind == "missing" else tmp_path
+        (tmp_path / "file").write_text("")
+        bad = {"missing": tmp_path / "missing.bin", "directory": tmp_path,
+               "through-file": tmp_path / "file" / "x.bin"}[kind]
         model = f"tiny:{bad}" if flag == "--model" else "ot"
         infile = bad if flag == "--in" else dataset_dir / "pair_0000.sfp"
         out = tmp_path / "adv.sfp"
@@ -365,6 +377,17 @@ class TestEval:
                                "--report", str(tmp_path / "r.json"))
         assert code == 1
         assert err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("kind", ["missing-directory", "through-file"])
+    def test_unwritable_report_exits_1(self, dataset_dir, tmp_path, capsys, kind):
+        (tmp_path / "file").write_text("")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"attack": "none"}]))
+        report = tmp_path / ("missing" if kind == "missing-directory" else "file") / "r.json"
+        code, _, err = run_cli(capsys, "eval", "--data", str(dataset_dir),
+                               "--grid", str(grid), "--report", str(report))
+        assert code == 1
+        assert err.startswith("error: ") and str(report) in err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, dataset_dir, tmp_path, capsys, jobs):

@@ -748,25 +748,32 @@ class TestDense:
 
     @pytest.mark.parametrize("bounds", [[0, 4, 8], [0, 3, 8], [0, 1, 6, 8]],
                              ids=["even", "ragged", "three"])
-    @pytest.mark.parametrize("track_x", [True, False], ids=["tracked-x", "constant-x"])
-    def test_segments_match_unrolled(self, bounds, track_x):
+    @pytest.mark.parametrize("tracked", ["xwb", "wb", "x"],
+                             ids=["tracked-x", "constant-x", "constant-weights"])
+    def test_segments_match_unrolled(self, bounds, tracked):
         # one node over row-stacked segments against one unrolled graph per
-        # segment: the value and the weight gradients keep every bit
-        rng = np.random.default_rng(len(bounds) + 5 * track_x)
+        # segment: the value and the weight gradients keep every bit; with
+        # constant weights, as in an attack pass, x's gradient is all the VJP
+        # computes
+        rng = np.random.default_rng(len(bounds) + 5 * ("x" in tracked))
         x, w, b = rng.normal(size=(8, 5)), rng.normal(size=(5, 4)), rng.normal(size=(1, 4))
         out_w = constant(rng.normal(size=(8, 4)))
         out = []
         for fn in (dense, ops.unrolled_dense):
             g = Graph()
-            leaves = [g.leaf(x) if track_x else constant(x), g.leaf(w), g.leaf(b)]
-            y = fn(*leaves, True, bounds)
+            leaves = {name: g.leaf(a) if name in tracked else constant(a)
+                      for name, a in zip("xwb", (x, w, b))}
+            y = fn(*leaves.values(), True, bounds)
             grads = ad.backward(ops.tmean(ops.mul(y, out_w)))
-            out.append([y.data] + [grads[t.node_id] for t in leaves if t.graph is not None])
-        (y, *grads), (ref_y, *ref_grads) = out
+            out.append((y.data, {name: grads[t.node_id] for name, t in leaves.items()
+                                 if t.graph is not None}))
+        (y, grads), (ref_y, ref_grads) = out
         assert y.tobytes() == ref_y.tobytes()
-        assert [a.tobytes() for a in grads[-2:]] == [a.tobytes() for a in ref_grads[-2:]]
-        if track_x:  # the unrolled graph's scatter adds 0.0, which turns -0.0 into 0.0
-            assert np.array_equal(grads[0], ref_grads[0])
+        assert set(grads) == set(ref_grads) == set(tracked)
+        for name in set(tracked) - {"x"}:
+            assert grads[name].tobytes() == ref_grads[name].tobytes()
+        if "x" in tracked:  # the unrolled graph's scatter adds 0.0, which turns -0.0 into 0.0
+            assert np.array_equal(grads["x"], ref_grads["x"])
 
     def test_constant_x_skips_gradient(self):
         rng = np.random.default_rng(4)

@@ -166,6 +166,25 @@ class TestRunExperiment:
             assert agg["aepe_after"] == pytest.approx(
                 np.mean([r.epe_after for r in recs]), abs=1e-12)
 
+    def test_aggregates_keep_budgets_apart(self, small_dataset):
+        # cells that differ in eps, iters or alpha alone are rows of their
+        # own, each the mean of its own records, in the order of that key
+        grid = [GridEntry("fgsm", AttackConfig(eps=0.01)),
+                GridEntry("fgsm", AttackConfig(eps=0.2)),
+                GridEntry("pgd", AttackConfig(eps=0.05, iters=2)),
+                GridEntry("pgd", AttackConfig(eps=0.05, iters=10)),
+                GridEntry("pgd", AttackConfig(eps=0.05, iters=2, alpha=0.001))]
+        report = run_experiment(small_dataset, OTEstimator(sinkhorn_iters=15), grid, seed=0)
+        cells: dict[tuple, list] = {}
+        for r in report.records:
+            key = (r.estimator, r.attack, r.mask, r.eps, r.iters, r.alpha)
+            cells.setdefault(key, []).append(r)
+        assert len(cells) == len(grid)
+        want = [(key[1], np.mean([r.epe_before for r in recs]),
+                 np.mean([r.epe_after for r in recs])) for key, recs in sorted(cells.items())]
+        got = [(a["attack"], a["aepe_before"], a["aepe_after"]) for a in report.aggregates]
+        assert got == want
+
     def test_baseline_epe_is_estimator_epe(self, small_report, small_dataset):
         est = OTEstimator(sinkhorn_iters=15)
         pair = small_dataset[0]
