@@ -18,7 +18,10 @@ library and writes what it produces under DIR:
   and the error records it gets are compared too; and (`far_batches_*`) of
   OT at `--jobs` 1 and 2 on 12 pairs of 128 points, 3 batches, whose pair 5
   has such a point, so that a batch is rerun pair by pair between two that
-  are not; and (`draws_*`) of OT
+  are not; and (`ragged_ot_*`) of OT at `--jobs` 1 and 2 on the 10 plain
+  pairs of `data/ragged`, batches of 8 and 2, for the colour grid, whose
+  colour-channel cells fail in both batches, so that a task is rerun pair
+  by pair and gets an error record per pair; and (`draws_*`) of OT
   and the coloured tiny net on the coloured rigid pairs, for a grid whose
   every attack starts from a seeded draw (random baselines, uniform and
   +-eps, unclamped on one channel; PGD with a random start on the colour
@@ -227,6 +230,7 @@ def write_tree(out: Path) -> None:
     runs.append(("batches_tiny", "tiny:models/tiny_plain_ragged.sftn", "batches",
                  "directional"))
     runs.append(("far_batches_ot", "ot", "far_batches", "directional"))
+    runs.append(("ragged_ot", "ot", "ragged", "color"))
     for name, model, dataset, grid in runs:
         for jobs in (1, 2):
             stem = f"reports/{name}_jobs{jobs}"

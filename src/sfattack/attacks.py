@@ -34,7 +34,7 @@ MAX_ITERS = 10_000
 class TargetMask:
     """Which part of pc1 the attack may touch: position axes or color channels."""
 
-    domain: str  # "positions" or "colors"
+    domain: str  # the PointCloud field it perturbs: "positions" or "colors"
     axes: frozenset = frozenset({0, 1, 2})
 
     def __post_init__(self):
@@ -135,22 +135,21 @@ def clean_pass(pairs: list[ScenePair], est: Estimator) -> list[tuple]:
     return est.losses_and_grads([(pair, pair.pc1) for pair in pairs])
 
 
-def _domain_values(pair: ScenePair, cfg: AttackConfig):
-    pos = pair.pc1.positions
-    col = pair.pc1.colors if pair.pc1.has_colors else None
-    base = pos if cfg.mask.domain == "positions" else col
-    return pos, col, base
-
-
 def _cloud(pair: ScenePair, cfg: AttackConfig, x: np.ndarray) -> PointCloud:
     """pair's first cloud with the masked domain's values replaced by x."""
-    pos, col, _ = _domain_values(pair, cfg)
-    return PointCloud(x, col) if cfg.mask.domain == "positions" else PointCloud(pos, x)
+    return replace(pair.pc1, **{cfg.mask.domain: x})
 
 
 def _result(pair: ScenePair, cfg: AttackConfig, adv_domain: np.ndarray) -> AttackResult:
-    base = _domain_values(pair, cfg)[2]
-    return AttackResult(adv_pc1=_cloud(pair, cfg, adv_domain), delta=adv_domain - base)
+    return AttackResult(adv_pc1=_cloud(pair, cfg, adv_domain),
+                        delta=adv_domain - getattr(pair.pc1, cfg.mask.domain))
+
+
+def _clamp(x: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+    """x clipped to [0, 1] when it holds colours, unless cfg.clamp_colors is off."""
+    if cfg.mask.domain == "colors" and cfg.clamp_colors:
+        return np.clip(x, 0.0, 1.0)
+    return x
 
 
 def _start(pairs: list[ScenePair], cfg: AttackConfig, seeds, mode: str):
@@ -162,7 +161,7 @@ def _start(pairs: list[ScenePair], cfg: AttackConfig, seeds, mode: str):
     rows take the values of an attack on pair p alone."""
     for pair in pairs:
         cfg.mask.check(pair)
-    parts = [_domain_values(pair, cfg)[2] for pair in pairs]
+    parts = [getattr(pair.pc1, cfg.mask.domain) for pair in pairs]
     cuts = _offsets(parts)[1:-1]
     base = np.concatenate(parts)
     if seeds is None:
@@ -172,10 +171,7 @@ def _start(pairs: list[ScenePair], cfg: AttackConfig, seeds, mode: str):
     rngs = [np.random.default_rng(seed) for seed in seeds]
     noise = [cfg.eps * rng.choice([-1.0, 1.0], size=part.shape) if mode == "rademacher"
              else rng.uniform(-cfg.eps, cfg.eps, part.shape) for rng, part in zip(rngs, parts)]
-    x = base + np.concatenate(noise) * cfg.mask.axis_row()
-    if cfg.mask.domain == "colors" and cfg.clamp_colors:
-        x = np.clip(x, 0.0, 1.0)
-    return cuts, base, x
+    return cuts, base, _clamp(base + np.concatenate(noise) * cfg.mask.axis_row(), cfg)
 
 
 def fgsm_config(cfg: AttackConfig) -> AttackConfig:
@@ -224,9 +220,7 @@ def pgd_sf(pairs: list[ScenePair], est: Estimator, cfg: AttackConfig,
         # zero off the masked axes, so those entries never move
         grad = np.concatenate([g[2] if is_color else g[1] for g in grads]) * axes
         if is_color:
-            x = np.clip(x + alpha * np.sign(grad), base - cfg.eps, base + cfg.eps)
-            if cfg.clamp_colors:
-                x = np.clip(x, 0.0, 1.0)
+            x = _clamp(np.clip(x + alpha * np.sign(grad), base - cfg.eps, base + cfg.eps), cfg)
         else:
             x = base + np.clip((x - base) + alpha * np.sign(grad), -cfg.eps, cfg.eps)
     return [_result(pair, cfg, adv) for pair, adv in zip(pairs, np.split(x, cuts))]
@@ -253,17 +247,13 @@ def check_feasibility(pair: ScenePair, cfg: AttackConfig, result: AttackResult,
     off = sorted({0, 1, 2} - cfg.mask.axes)
     if off and np.any(result.delta[:, off] != 0.0):
         out.append("delta nonzero off the masked axes")
-    pos, col, base = _domain_values(pair, cfg)
-    if cfg.mask.domain == "positions":
-        if col is not None and not np.array_equal(result.adv_pc1.colors, col):
-            out.append("colors changed by a position attack")
-        if not np.array_equal(result.adv_pc1.positions, base + result.delta):
-            out.append("adv positions != pc1 + delta")
-    else:
-        if not np.array_equal(result.adv_pc1.positions, pos):
-            out.append("positions changed by a color attack")
-        if not np.array_equal(result.adv_pc1.colors, base + result.delta):
-            out.append("adv colors != colors + delta")
-        if result.adv_pc1.colors.min() < 0.0 or result.adv_pc1.colors.max() > 1.0:
-            out.append("adv colors outside [0,1]")
+    domain = cfg.mask.domain
+    other = "colors" if domain == "positions" else "positions"
+    if not np.array_equal(getattr(result.adv_pc1, other), getattr(pair.pc1, other)):
+        out.append(f"{other} changed by an attack on {domain}")
+    adv = getattr(result.adv_pc1, domain)
+    if not np.array_equal(adv, getattr(pair.pc1, domain) + result.delta):
+        out.append(f"adv {domain} != clean {domain} + delta")
+    if domain == "colors" and (adv.min() < 0.0 or adv.max() > 1.0):
+        out.append("adv colors outside [0,1]")
     return out

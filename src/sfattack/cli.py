@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import json
 import os
 import sys
@@ -94,6 +95,17 @@ def _make_estimator(spec: str):
     raise ValidationError(f"unknown model {spec!r}")
 
 
+def _check_outputs(*paths) -> None:
+    """Raise, before any work, the error open(path, "w") would for each path."""
+    for path in filter(None, paths):
+        try:  # with a trailing separator, stat fails as open would
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _cmd_generate(args) -> int:
     ds = DatasetSpec(
         n_points=args.points, with_color=args.color, kind=args.motion,
@@ -107,6 +119,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_outputs(args.out)
     dataset = load_dataset(args.data)
     weights, trace = train_tiny(dataset, args.epochs, args.lr, args.seed)
     Path(args.out).write_bytes(save_weights(weights))
@@ -115,6 +128,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    _check_outputs(args.out, args.report)
     est = _make_estimator(args.model)
     pair = load_sfp(Path(args.infile).read_bytes(), pair_id=Path(args.infile).stem)
     fgsm = args.attack == "fgsm"  # --iters and --alpha do not apply to FGSM
@@ -142,6 +156,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs(args.report, args.csv)
     est = _make_estimator(args.model)
     dataset = load_dataset(args.data)
     grid = load_grid(args.grid)

@@ -114,20 +114,14 @@ def grid_entry_from_dict(obj: dict) -> GridEntry:
         return GridEntry("none")
     if "eps" not in obj:
         raise ValidationError("grid entry needs 'eps'")
-    alpha = obj.get("alpha", AUTO)
-    if isinstance(alpha, str) and alpha != AUTO:
-        raise ValidationError(f"alpha must be a number or {AUTO!r}, got {alpha!r}")
+    if isinstance(obj.get("alpha"), str) and obj["alpha"] != AUTO:
+        raise ValidationError(f"alpha must be a number or {AUTO!r}, got {obj['alpha']!r}")
+    given = {key: value for key, value in obj.items() if key not in ("attack", "target")}
     try:  # a JSON integer can be too large for a float
-        cfg = AttackConfig(
-            eps=float(obj["eps"]),
-            iters=obj.get("iters", 1),
-            alpha=alpha,
-            mask=make_target_mask(obj.get("target", "all-dims")),
-            random_start=obj.get("random_start", False),
-            clamp_colors=obj.get("clamp_colors", True),
-            random_mode=obj.get("random_mode", "uniform"),
-        )
-        cfg.resolved_alpha()
+        given["eps"] = float(obj["eps"])
+        if "target" in obj:
+            given["mask"] = make_target_mask(obj["target"])
+        cfg = AttackConfig(**given)  # a key left out takes AttackConfig's default
     except OverflowError as exc:
         raise ValidationError(f"grid entry number out of range: {exc}") from exc
     return GridEntry(attack, cfg)

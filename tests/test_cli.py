@@ -30,6 +30,48 @@ def dataset_dir(tmp_path_factory):
     return out
 
 
+def _bad_output(tmp_path, kind):
+    """An output path that cannot be written: its directory is missing, its
+    directory is the file tmp_path/file, or it is a directory itself."""
+    if kind == "directory":
+        return tmp_path
+    return tmp_path / ("missing" if kind == "missing-directory" else "file") / "r.json"
+
+
+def _never_runs(*args, **kwargs):
+    raise AssertionError("the command worked before checking its output paths")
+
+
+@pytest.mark.parametrize("kind", ["missing-directory", "through-file", "directory"])
+@pytest.mark.parametrize("command, flag, work", [
+    ("eval", "--csv", "run_experiment"),
+    ("train", "--out", "train_tiny"),
+    ("attack", "--out", "attack_pairs"),
+    ("attack", "--report", "attack_pairs"),
+], ids=["eval-csv", "train-out", "attack-out", "attack-report"])
+def test_unwritable_output_exits_1_before_work(dataset_dir, tmp_path, capsys, monkeypatch,
+                                               command, flag, work, kind):
+    (tmp_path / "file").write_text("")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"attack": "none"}]))
+    outputs = {"--out": tmp_path / "out", "--report": tmp_path / "r.json",
+               "--csv": tmp_path / "r.csv"}
+    bad = outputs[flag] = _bad_output(tmp_path, kind)
+    argv = {"eval": ["--data", dataset_dir, "--grid", grid],
+            "train": ["--data", dataset_dir, "--epochs", 2],
+            "attack": ["--attack", "pgd", "--eps", 0.1,
+                       "--in", dataset_dir / "pair_0000.sfp"]}[command]
+    flags = {"eval": ("--report", "--csv"), "train": ("--out",),
+             "attack": ("--out", "--report")}[command]
+    monkeypatch.setattr(cli, work, _never_runs)
+    code, out, err = run_cli(capsys, command, *map(str, argv),
+                             *(str(a) for f in flags for a in (f, outputs[f])))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(bad) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "grid.json"]
+    assert (tmp_path / "file").read_text() == ""
+
+
 class TestGenerate:
     def test_writes_files(self, dataset_dir):
         files = sorted(p.name for p in dataset_dir.glob("*.sfp"))
@@ -378,16 +420,19 @@ class TestEval:
         assert code == 1
         assert err.startswith("error: ") and str(missing) in err
 
-    @pytest.mark.parametrize("kind", ["missing-directory", "through-file"])
-    def test_unwritable_report_exits_1(self, dataset_dir, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind", ["missing-directory", "through-file", "directory"])
+    def test_unwritable_report_exits_1(self, dataset_dir, tmp_path, capsys, monkeypatch,
+                                       kind):
         (tmp_path / "file").write_text("")
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([{"attack": "none"}]))
-        report = tmp_path / ("missing" if kind == "missing-directory" else "file") / "r.json"
+        report = _bad_output(tmp_path, kind)
+        monkeypatch.setattr(cli, "run_experiment", _never_runs)
         code, _, err = run_cli(capsys, "eval", "--data", str(dataset_dir),
                                "--grid", str(grid), "--report", str(report))
         assert code == 1
         assert err.startswith("error: ") and str(report) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "grid.json"]
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, dataset_dir, tmp_path, capsys, jobs):

@@ -114,6 +114,9 @@ class TestGrid:
                                         mask=make_target_mask("channel=0"),
                                         random_start=True, clamp_colors=False,
                                         random_mode="rademacher")
+        # a key left out takes AttackConfig's default
+        assert grid_entry_from_dict({"attack": "pgd", "eps": 0.1}).config \
+            == AttackConfig(eps=0.1)
 
     def test_none_entry(self):
         assert GridEntry("none").digest() == "none"
